@@ -21,12 +21,20 @@ constant time per element, as in the paper.
 
 Degenerate stacks reproduce the baselines: ``[m]`` is the direct
 all-to-all allreduce, ``[2]*log2(m)`` the binary butterfly.
+
+The per-node protocol is written once, as the sans-I/O generator
+:func:`kylix_node`: it never sends, receives or sleeps, it *yields
+effects* and is resumed with their answers.  Three drivers run it —
+:class:`KylixAllreduce` on the simulated cluster, :mod:`repro.net.protocol`
+over pipes and sockets, and :func:`repro.verify.plan.build_plans` in
+lock step without any medium — so every backend executes the same splits,
+unions, memoised maps and degraded-completion accounting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -53,7 +61,37 @@ from .base import (
 )
 from .topology import ButterflyTopology
 
-__all__ = ["KylixAllreduce", "NodePlan", "LayerPlan", "PhaseTiming"]
+__all__ = [
+    "KylixAllreduce",
+    "NodePlan",
+    "LayerPlan",
+    "PhaseTiming",
+    "kylix_node",
+    "check_values",
+    "EXCHANGE",
+    "COMPUTE",
+    "AUDIT",
+]
+
+#: Effects :func:`kylix_node` yields, as tuples led by one of these tags:
+#:
+#: ``(EXCHANGE, phase, layer, group, parts, nbytes_hint)``
+#:     send ``parts[q]`` to ``group[q]`` (our own position included) and
+#:     answer with the parts received, indexed by group position — ``None``
+#:     for a member declared unrecoverable (a hole).  ``nbytes_hint`` sizes
+#:     receive deadlines.
+#: ``(COMPUTE, nbytes)``
+#:     charge local work proportional to ``nbytes``; answer ``None``.
+#: ``(AUDIT, peer, kind, layer, hole)``
+#:     what ``peer`` retained about ``hole``: ``kind="recv"`` the hole's
+#:     raw unique out keys (layer 1), ``kind="sent"`` the out-key slice
+#:     ``peer`` sent the hole at ``layer``.  Answer the keys, or ``None``.
+EXCHANGE, COMPUTE, AUDIT = "exchange", "compute", "audit"
+
+#: Protocol modes: which passes :func:`kylix_node` runs.
+_BUILDS = ("configure", "combined")  # build the plan on the way down
+_DESCENDS = ("configure", "combined", "reduce", "scatter")
+_ASCENDS = ("combined", "reduce", "gather")
 
 
 @dataclass
@@ -97,6 +135,332 @@ class PhaseTiming:
     @property
     def elapsed(self) -> float:
         return self.end - self.start
+
+
+# ---------------------------------------------------------------------------
+# The protocol core
+# ---------------------------------------------------------------------------
+def check_values(spec: ReduceSpec, rank: int, values) -> np.ndarray:
+    """``values`` as ``spec.dtype``, checked against rank's out indices.
+
+    The protocol's one shape check: :func:`kylix_node` runs it on every
+    node, and the forked backends also run it in the parent before
+    forking, so a bad call raises ``ValueError`` on every backend."""
+    raw = np.asarray(values, dtype=spec.dtype)
+    if raw.shape != (len(spec.out_indices[rank]), *spec.value_shape):
+        raise ValueError(
+            f"rank {rank}: out values shape {raw.shape} does not match "
+            f"(n_out={len(spec.out_indices[rank])}, "
+            f"value_shape={spec.value_shape})"
+        )
+    return raw
+
+
+def kylix_node(
+    mode: str,
+    topology: ButterflyTopology,
+    hasher: IndexHasher,
+    rank: int,
+    spec: ReduceSpec,
+    *,
+    plan: Optional[NodePlan] = None,
+    values=None,
+    degrade: bool = False,
+    strict: bool = True,
+    obs=NULL_OBSERVER,
+):
+    """One node's Kylix protocol as a sans-I/O generator.
+
+    ``mode`` picks the passes:
+
+    ``"configure"``  build the plan (indices only, downward);
+    ``"combined"``   build the plan with values in the same messages, then
+                     allgather up (§III's minibatch pass);
+    ``"reduce"``     values down and back up through ``plan``;
+    ``"scatter"``    values down only: the bottom partial (reduce-scatter);
+    ``"gather"``     ``values`` is the bottom partial; allgather it up.
+
+    ``values`` is this rank's array — aligned with its out indices, or
+    with ``plan.bottom_out_keys`` in gather mode.  The generator yields
+    the effects documented at :data:`EXCHANGE` and returns ``(plan,
+    result, mask)``: ``result`` aligns with the in indices (the bottom
+    keys in scatter mode, ``None`` in configure mode) and ``mask`` marks
+    its valid entries under degraded completion (``None`` otherwise).
+
+    Under ``degrade`` a hole is accounted, never raised: values carry
+    validity masks, every position a hole's part covered loses its mask,
+    and in the combined pass — where nothing yet says which keys the
+    hole's partial held — the receiver reconstructs that key set by
+    auditing the hole's peers and adopts the slice it was owed as
+    tombstones (identity values, invalid mask) that ride the normal
+    routing to each key's bottom home and on to every requester.
+    """
+    identity = reduction_identity(spec.op, spec.dtype)
+    if mode in _DESCENDS:
+        plan, v, v_mask = yield from _descend(
+            mode, topology, hasher, rank, spec, plan, values, degrade, obs
+        )
+    elif mode == "gather":
+        v = np.asarray(values, dtype=spec.dtype)
+        if v.shape != (plan.bottom_out_keys.size, *spec.value_shape):
+            raise ValueError(
+                f"rank {rank}: bottom values shape {v.shape} does not match "
+                f"the bottom range ({plan.bottom_out_keys.size} keys)"
+            )
+        v_mask = np.ones(v.shape[0], dtype=bool) if degrade else None
+    else:
+        raise ValueError(f"unknown protocol mode {mode!r}")
+    if mode not in _ASCENDS:
+        if v_mask is not None:
+            v[~v_mask] = identity  # incomplete aggregates are lost, not served
+        return plan, v, v_mask
+
+    # Bottom projection: where each hosted in-key sits in the reduced out
+    # union.  Coverage holes raise (strict) or surface as invalid entries.
+    if strict and not degrade and not bool(plan.bottom_hit.all()):
+        missing = int((~plan.bottom_hit).sum())
+        raise CoverageError(
+            f"rank {rank}: {missing} requested indices have no contributor"
+        )
+    r = np.full((plan.bottom_pos.size, *spec.value_shape), identity, dtype=spec.dtype)
+    hit = plan.bottom_hit
+    if v.size:
+        if degrade:
+            hit = hit & v_mask[plan.bottom_pos]
+        np.copyto(r, v[plan.bottom_pos], where=_expand(hit, r.ndim))
+    r_mask = hit.copy() if degrade else None
+
+    # Upward allgather along the memoised routes.  A hole, or a carrier
+    # that never integrated our config part, leaves its slice invalid.
+    for layer in range(len(plan.layers), 0, -1):
+        lp = plan.layers[layer - 1]
+        span = obs.begin(
+            f"{PHASE_GATHER_UP} L{layer}", node=rank, phase=PHASE_GATHER_UP, layer=layer
+        )
+        if degrade:
+            parts = [(r[m], r_mask[m]) for m in lp.in_recv_maps]
+        else:
+            parts = [r[m] for m in lp.in_recv_maps]
+        got = yield (EXCHANGE, PHASE_GATHER_UP, layer, lp.group, parts, r.nbytes)
+        merge = obs.begin(
+            f"merge L{layer}", node=rank, phase=PHASE_GATHER_UP, layer=layer, kind="merge"
+        )
+        if degrade:
+            out = np.full((lp.in_prev_size, *spec.value_shape), identity, dtype=spec.dtype)
+            out_mask = np.zeros(lp.in_prev_size, dtype=bool)
+        else:
+            out = np.zeros((lp.in_prev_size, *spec.value_shape), dtype=spec.dtype)
+            out_mask = None
+        recv_bytes = 0
+        for q, part in enumerate(got):
+            if part is None:
+                continue
+            if degrade:
+                vals, mask = part
+                recv_bytes += vals.nbytes + mask.nbytes
+                sl = lp.in_slices[q]
+                if len(vals) != sl.stop - sl.start:
+                    continue  # the carrier never learned our keys
+                out_mask[sl] = mask
+            else:
+                vals = part
+                recv_bytes += vals.nbytes
+            out[lp.in_slices[q]] = vals
+        yield (COMPUTE, recv_bytes)
+        obs.end(merge)
+        obs.end(span)
+        r, r_mask = out, out_mask
+    return plan, r[plan.in_inverse], (None if r_mask is None else r_mask[plan.in_inverse])
+
+
+def _descend(mode, topology, hasher, rank, spec, plan, values, degrade, obs):
+    """The downward pass of :func:`kylix_node`; returns ``(plan, v, mask)``.
+
+    In the build modes it splits the node's key sets against its nested
+    range, unions the parts it receives and memoises their maps into a
+    new plan; otherwise it replays ``plan``.  Values, when present, are
+    scatter-added through the maps into the node's partial."""
+    ufunc = reduction_ufunc(spec.op)
+    identity = reduction_identity(spec.op, spec.dtype)
+    build = mode in _BUILDS
+    if build:
+        out_keys, out_inv = np.unique(hasher.hash(spec.out_indices[rank]), return_inverse=True)
+        in_keys, in_inv = np.unique(hasher.hash(spec.in_indices[rank]), return_inverse=True)
+        plan = NodePlan(
+            rank=rank,
+            out_inverse=out_inv.astype(np.intp),
+            in_inverse=in_inv.astype(np.intp),
+            n_out=out_keys.size,
+            n_in=in_keys.size,
+        )
+        rng = KeyRange.full(hasher.key_space)
+    v = v_mask = None
+    if mode != "configure":
+        v = np.full((plan.n_out, *spec.value_shape), identity, dtype=spec.dtype)
+        ufunc.at(v, plan.out_inverse, check_values(spec, rank, values))
+        if degrade:
+            v_mask = np.ones(v.shape[0], dtype=bool)
+    phase = {"configure": PHASE_CONFIG, "combined": PHASE_COMBINED_DOWN}.get(
+        mode, PHASE_REDUCE_DOWN
+    )
+    for layer in range(1, topology.num_layers + 1):
+        span = obs.begin(f"{phase} L{layer}", node=rank, phase=phase, layer=layer)
+        if build:
+            d = topology.degrees[layer - 1]
+            group = topology.group(rank, layer)
+            pos = topology.position(rank, layer)
+            out_slices = split_sorted(out_keys, rng, d)
+            in_slices = split_sorted(in_keys, rng, d)
+            hint = out_keys.nbytes + in_keys.nbytes
+        else:
+            lp = plan.layers[layer - 1]
+            group, d, out_slices = lp.group, len(lp.group), lp.out_slices
+            hint = v.nbytes
+        # A value part is the slice, or (slice, mask) under degradation;
+        # the build modes prefix it with the key parts.
+        if v is None:
+            parts = None
+        elif degrade:
+            parts = [(v[s], v_mask[s]) for s in out_slices]
+        else:
+            parts = [v[s] for s in out_slices]
+        if build:
+            keys = [(out_keys[o], in_keys[i]) for o, i in zip(out_slices, in_slices)]
+            parts = keys if parts is None else [k + (p,) for k, p in zip(keys, parts)]
+        got = yield (EXCHANGE, phase, layer, group, parts, hint)
+
+        recv_bytes = 0
+        if build:
+            sub = rng.subrange(pos, d)
+            out_parts, in_parts = [], []
+            for q, part in enumerate(got):
+                if part is not None:
+                    out_parts.append(part[0])
+                    in_parts.append(part[1])
+                    recv_bytes += part[0].nbytes + part[1].nbytes
+                    continue
+                in_parts.append(in_keys[:0])
+                if v is None or not degrade:
+                    out_parts.append(out_keys[:0])
+                    continue
+                # The hole took a partial with it: at layer 1 its own raw
+                # keys, deeper an accumulated partial carrying live
+                # members' earlier contributions.  Keys of it nobody else
+                # carries here would vanish and their homes would report
+                # a still-valid aggregate — so adopt our slice of the
+                # reconstructed dead partial as tombstones.
+                dead = yield from _dead_partial_keys(topology, group[q], layer - 1)
+                out_parts.append(dead[sub.contains(dead)])
+        merge = obs.begin(
+            f"merge L{layer}", node=rank, phase=phase, layer=layer, kind="merge"
+        )
+        if build:
+            out_union, out_maps = union_with_maps(out_parts)
+            in_union, in_maps = union_with_maps(in_parts)
+            obs.histogram("config.merge_length").observe(
+                out_union.size, phase=phase, layer=layer
+            )
+            plan.layers.append(
+                LayerPlan(
+                    group=group,
+                    pos=pos,
+                    pos_of={member: q for q, member in enumerate(group)},
+                    out_slices=out_slices,
+                    in_slices=in_slices,
+                    out_recv_maps=out_maps,
+                    in_recv_maps=in_maps,
+                    out_union_size=out_union.size,
+                    in_union_size=in_union.size,
+                    in_prev_size=in_keys.size,
+                )
+            )
+            out_keys, in_keys, rng = out_union, in_union, sub
+        else:
+            out_maps = lp.out_recv_maps
+        if v is not None:
+            size = plan.layers[layer - 1].out_union_size
+            partial = np.full((size, *spec.value_shape), identity, dtype=spec.dtype)
+            partial_mask = np.ones(size, dtype=bool) if degrade else None
+            for q, part in enumerate(got):
+                # Positions within one map are unique, so the combine can
+                # use plain fancy indexing rather than ufunc.at.
+                m = out_maps[q]
+                if part is None:
+                    partial_mask[m] = False  # every key the hole covered
+                    continue
+                if build:
+                    part = part[2]
+                if degrade:
+                    vals, mask = part
+                    partial_mask[m] &= mask
+                    recv_bytes += mask.nbytes
+                else:
+                    vals = part
+                partial[m] = ufunc(partial[m], vals)
+                recv_bytes += vals.nbytes
+            v, v_mask = partial, partial_mask
+        # Merge cost: every element participates in ~log2(d)+1 merges.
+        depth = max(1, int(np.ceil(np.log2(max(d, 2)))) + 1) if build else 1
+        yield (COMPUTE, recv_bytes * depth)
+        obs.end(merge)
+        obs.end(span)
+
+    if build:
+        # Bottom projection map: where each hosted in-key sits in the
+        # reduced out union (coverage holes surface here).
+        pos_arr = np.searchsorted(out_keys, in_keys).astype(np.intp)
+        clipped = np.minimum(pos_arr, max(out_keys.size - 1, 0))
+        plan.bottom_pos = clipped
+        plan.bottom_hit = (
+            (out_keys[clipped] == in_keys)
+            if out_keys.size and in_keys.size
+            else np.zeros(in_keys.size, dtype=bool)
+        )
+        plan.bottom_out_keys = out_keys
+    return plan, v, v_mask
+
+
+def _dead_partial_keys(topology: ButterflyTopology, hole: int, upto: int):
+    """Exact key set of ``hole``'s lost partial after ``upto`` layers.
+
+    Audits the hole's peers and evaluates::
+
+        state(h, 0) = h's raw unique out keys
+        state(h, s) = U_p sent(p -> h, s)  U  (state(h, s-1) ^ range(h, s))
+
+    A piece no peer retained (the peer is stuck or dead itself, or the
+    hole's raw keys reached nobody) degrades the reconstruction to a
+    subset — under multi-failure schedules some incomplete aggregates
+    may keep a valid mask, never the reverse.
+    """
+    raw = None
+    for p in topology.group(hole, 1):
+        if p != hole:
+            raw = yield (AUDIT, p, "recv", 1, hole)
+            if raw is not None:
+                break
+    keys = np.asarray(raw if raw is not None else (), dtype=np.uint64)
+    for s in range(1, upto + 1):
+        pieces = [keys[topology.key_range(hole, s).contains(keys)]]
+        for p in topology.group(hole, s):
+            if p != hole:
+                piece = yield (AUDIT, p, "sent", s, hole)
+                if piece is not None:
+                    pieces.append(np.asarray(piece, dtype=np.uint64))
+        keys = np.unique(np.concatenate(pieces))
+    return keys
+
+
+# ---------------------------------------------------------------------------
+# The simulator driver
+# ---------------------------------------------------------------------------
+#: Message tag kind per protocol phase (tags also carry name, instance, layer).
+_TAG_KIND = {
+    PHASE_CONFIG: "cfg",
+    PHASE_COMBINED_DOWN: "cmb",
+    PHASE_REDUCE_DOWN: "rd",
+    PHASE_GATHER_UP: "up",
+}
 
 
 class KylixAllreduce:
@@ -170,11 +534,11 @@ class KylixAllreduce:
         self.duplicates_dropped = 0  # retransmit/injected copies deduped by seq
         self._loss_events: List[LossRecord] = []
         self._instance = 0
-        # Dead-partial key audit state for the combined path (degraded
-        # completion): per instance, each node's raw unique out keys and
-        # the out-key slice of every down part it sent.  The in-memory
-        # equivalent of the wire transports' retained sent-keys stores —
-        # see _dead_partial_keys.
+        # What the simulated medium retains for the combined pass's
+        # dead-partial audit (degraded completion): per instance, each
+        # node's raw unique out keys and the out-key slice of every down
+        # part it sent — the in-memory equivalent of the wire transports'
+        # retained stores, see :meth:`_audit`.
         self._audit_raw: Dict[tuple, np.ndarray] = {}
         self._audit_sent: Dict[tuple, np.ndarray] = {}
 
@@ -346,24 +710,98 @@ class KylixAllreduce:
             timeouts = 0
         return received
 
+    def run_node(self, node: SimNode, mode: str, inst: int, values=None):
+        """One node's protocol process: :func:`kylix_node` in ``mode``,
+        its effects mapped onto the simulated medium.
+
+        ``values`` maps logical rank to that rank's array (out values, or
+        bottom values in gather mode).  Exchanges become tagged sends to
+        every replica plus :meth:`_recv_group` (deadlines, NACKs, holes),
+        compute charges become node compute time, and audits read the
+        in-memory retention of this protocol instance.  Returns the
+        core's ``(plan, result, mask)``.
+        """
+        rank = self._logical(node.rank)
+        degrade = self._degrade_active()
+        core = kylix_node(
+            mode,
+            self.topology,
+            self.hasher,
+            rank,
+            self.spec,
+            plan=self.plans.get(node.rank) if mode not in _BUILDS else None,
+            values=None if values is None else values[rank],
+            degrade=degrade,
+            strict=self.strict_coverage,
+            obs=self._obs,
+        )
+        reply = None
+        try:
+            while True:
+                effect = core.send(reply)
+                if effect[0] == EXCHANGE:
+                    _, phase, layer, group, parts, hint = effect
+                    tag = (self.name, _TAG_KIND[phase], inst, layer)
+                    if degrade and phase == PHASE_COMBINED_DOWN:
+                        # Retained before the first send, so survivors can
+                        # audit this node even if it dies right after.
+                        for member, part in zip(group, parts):
+                            self._audit_sent[(inst, layer, rank, member)] = part[0]
+                        if layer == 1:
+                            raw = np.concatenate([part[0] for part in parts])
+                            self._audit_raw[(inst, rank)] = raw
+                    for member, part in zip(group, parts):
+                        self._send_to(node, member, part, tag=tag, phase=phase, layer=layer)
+                    msgs = yield from self._recv_group(
+                        node, tag, {m: q for q, m in enumerate(group)}, len(group),
+                        phase=phase, layer=layer, nbytes_hint=hint,
+                    )
+                    reply = [None if m is None else m.payload for m in msgs]
+                elif effect[0] == COMPUTE:
+                    yield node.compute_bytes(effect[1])
+                    reply = None
+                else:
+                    reply = self._audit(inst, *effect[1:])
+        except StopIteration as done:
+            return done.value
+
+    def _audit(self, inst: int, peer: int, kind: str, layer: int, hole: int):
+        """Answer a dead-partial audit from the simulated medium's
+        retention.  The simulator saw the hole's raw keys even if it died
+        before its first send; a wire peer only learns them from the
+        hole's layer-1 parts."""
+        if kind == "recv":
+            return self._audit_raw.get((inst, hole))
+        return self._audit_sent.get((inst, layer, peer, hole))
+
+    def _run(self, mode: str, values=None) -> Dict[int, tuple]:
+        """Run ``mode`` on every node as a fresh protocol instance."""
+        self._instance += 1
+        self._loss_events = []
+        return self.cluster.run(self.run_node, mode, self._instance, values)
+
+    def _check_spec(self, spec: ReduceSpec) -> None:
+        if set(spec.ranks) != set(range(self.size)):
+            raise ValueError(
+                f"spec must cover every logical rank (got {len(spec.ranks)} of "
+                f"{self.size})"
+            )
+
+    def _require_config(self, what: str) -> None:
+        if self.spec is None:
+            raise RuntimeError(f"configure() must run before {what}()")
+
     # ------------------------------------------------------------------
     # Configuration
     # ------------------------------------------------------------------
     def configure(self, spec: ReduceSpec) -> Dict[int, NodePlan]:
         """Run the configuration pass; memoises routing for reductions."""
-        expected = set(range(self.size))
-        if set(spec.ranks) != expected:
-            raise ValueError(
-                f"spec must cover every logical rank (got {len(spec.ranks)} of "
-                f"{self.size})"
-            )
+        self._check_spec(spec)
         self.spec = spec
-        self._instance += 1
-        inst = self._instance
         start = self.cluster.now
-        self._loss_events = []
         with self._obs.span("configure", phase=PHASE_CONFIG):
-            self.plans = self.cluster.run(self._config_proto, spec, inst)
+            raw = self._run("configure")
+        self.plans = {rank: out[0] for rank, out in raw.items()}
         self.config_timing = PhaseTiming(start, self.cluster.now)
         return self.plans
 
@@ -377,12 +815,7 @@ class KylixAllreduce:
         guarantees this by keying on all of them).  Costs zero simulated
         time: amortization is the point.
         """
-        expected = set(range(self.size))
-        if set(spec.ranks) != expected:
-            raise ValueError(
-                f"spec must cover every logical rank (got {len(spec.ranks)} of "
-                f"{self.size})"
-            )
+        self._check_spec(spec)
         if set(plans) != set(range(self.cluster.num_nodes)):
             raise ValueError(
                 f"plans must cover every physical rank (got {sorted(plans)})"
@@ -391,315 +824,6 @@ class KylixAllreduce:
         self.plans = plans
         now = self.cluster.now
         self.config_timing = PhaseTiming(now, now)
-
-    def _config_proto(self, node: SimNode, spec: ReduceSpec, inst: int):
-        plan, _, _ = yield from self._down_pass(node, spec, inst, values=None)
-        return plan
-
-    def _down_pass(
-        self,
-        node: SimNode,
-        spec: ReduceSpec,
-        inst: int,
-        values: Optional[Mapping[int, np.ndarray]] = None,
-    ):
-        """The downward pass: build the routing plan, optionally carrying
-        values in the same messages (§III's combined configuration and
-        reduction for minibatch workloads).
-
-        Returns ``(plan, partial, partial_mask)`` where ``partial`` is the
-        node's fully reduced bottom-layer values (``None`` in config-only
-        mode) and ``partial_mask`` is the per-position validity mask
-        (``None`` unless degraded completion is active: a position is
-        valid iff every group member whose part covers it delivered a
-        valid contribution).
-        """
-        rank = self._logical(node.rank)
-        out_keys_raw = self.hasher.hash(spec.out_indices[rank])
-        in_keys_raw = self.hasher.hash(spec.in_indices[rank])
-        out_keys, out_inverse = np.unique(out_keys_raw, return_inverse=True)
-        in_keys, in_inverse = np.unique(in_keys_raw, return_inverse=True)
-        plan = NodePlan(
-            rank=node.rank,
-            out_inverse=out_inverse.astype(np.intp),
-            in_inverse=in_inverse.astype(np.intp),
-            n_out=out_keys.size,
-            n_in=in_keys.size,
-        )
-
-        combined = values is not None
-        degrade = self._degrade_active()
-        ufunc = reduction_ufunc(spec.op)
-        identity = reduction_identity(spec.op, spec.dtype)
-        v = None
-        v_mask = None
-        if combined:
-            v = self._aligned_out_values(rank, plan, spec, values)
-            if degrade:
-                v_mask = np.ones(v.shape[0], dtype=bool)
-                # Audit state 0: this node's partial starts as exactly its
-                # own unique out keys.  Recorded before any sends, so if
-                # this node later dies mid-protocol its survivors can
-                # reconstruct what the dead partial contained.
-                self._audit_raw[(inst, rank)] = out_keys
-
-        rng = KeyRange.full(self.hasher.key_space)
-        topo = self.topology
-        obs = self._obs
-        phase = PHASE_COMBINED_DOWN if combined else PHASE_CONFIG
-        for layer in range(1, topo.num_layers + 1):
-            span = obs.begin(f"{phase} L{layer}", node=rank, phase=phase, layer=layer)
-            d = topo.degrees[layer - 1]
-            group = topo.group(rank, layer)
-            pos = topo.position(rank, layer)
-            pos_of = {member: q for q, member in enumerate(group)}
-
-            out_slices = split_sorted(out_keys, rng, d)
-            in_slices = split_sorted(in_keys, rng, d)
-            tag = (self.name, "cmb" if combined else "cfg", inst, layer)
-            for q, member in enumerate(group):
-                if combined:
-                    payload = (
-                        out_keys[out_slices[q]],
-                        in_keys[in_slices[q]],
-                        v[out_slices[q]],
-                    )
-                    if degrade:
-                        payload = payload + (v_mask[out_slices[q]],)
-                        self._audit_sent[(inst, layer, rank, member)] = out_keys[
-                            out_slices[q]
-                        ]
-                else:
-                    payload = (out_keys[out_slices[q]], in_keys[in_slices[q]])
-                self._send_to(node, member, payload, tag=tag, phase=phase, layer=layer)
-
-            msgs = yield from self._recv_group(
-                node, tag, pos_of, d,
-                phase=phase, layer=layer,
-                nbytes_hint=out_keys.nbytes + in_keys.nbytes,
-            )
-            # A None hole (unrecoverable member under degraded completion)
-            # took a partial with it — at layer 1 the member's own raw
-            # contribution, at deeper layers an *accumulated* partial
-            # carrying live members' earlier contributions — and some of
-            # those keys may not be carried by anyone else in this
-            # subrange: if they simply vanish, their homes aggregate the
-            # surviving contributions under a still-valid mask and the
-            # loss is never reported.  So the observer adopts the slice of
-            # the reconstructed dead partial it was owed, as tombstones:
-            # the keys join the union with identity values and a False
-            # mask, and the invalidity rides the normal routing to each
-            # key's bottom home (and from there to every requester).
-            sub = rng.subrange(pos, d)
-            out_parts = []
-            for q, m in enumerate(msgs):
-                if m is not None:
-                    out_parts.append(m.payload[0])
-                elif combined and degrade:
-                    dead = self._dead_partial_keys(inst, group[q], layer - 1)
-                    out_parts.append(dead[sub.contains(dead)])
-                else:
-                    out_parts.append(out_keys[:0])
-            in_parts = [m.payload[1] if m is not None else in_keys[:0] for m in msgs]
-            recv_bytes = sum(m.nbytes for m in msgs if m is not None)
-            # Tree-merge the received index sets; memoise position maps.
-            merge_span = obs.begin(
-                f"merge L{layer}", node=rank, phase=phase, layer=layer, kind="merge"
-            )
-            out_union, out_maps = union_with_maps(out_parts)
-            in_union, in_maps = union_with_maps(in_parts)
-            obs.histogram("config.merge_length").observe(
-                out_union.size, phase=phase, layer=layer
-            )
-            if combined:
-                partial = np.full(
-                    (out_union.size, *spec.value_shape), identity, dtype=spec.dtype
-                )
-                partial_mask = (
-                    np.ones(out_union.size, dtype=bool) if degrade else None
-                )
-                for q, msg in enumerate(msgs):
-                    if msg is None:
-                        # Dead-partial key audit (the simulator port of
-                        # the wire protocol's accounting, see
-                        # repro.net.protocol): the adopted tombstone part
-                        # for this hole carries incomplete aggregates, so
-                        # every union position it maps to loses its valid
-                        # mask.  This covers both keys the hole shares
-                        # with live parts (partial sums missing the dead
-                        # contributions) and keys only the hole carried.
-                        # (A layer-1 hole's part is the dead member's raw
-                        # out keys — its own contribution counts as lost,
-                        # matching the split-protocol accounting.)
-                        if degrade:
-                            partial_mask[out_maps[q]] = False
-                        continue
-                    m = out_maps[q]
-                    partial[m] = ufunc(partial[m], msg.payload[2])
-                    if degrade:
-                        partial_mask[m] &= msg.payload[3]
-                v = partial
-                v_mask = partial_mask
-            # Merge cost: every element participates in ~log2(d)+1 merges.
-            depth = max(1, int(np.ceil(np.log2(max(d, 2)))) + 1)
-            yield node.compute_bytes(recv_bytes * depth)
-            obs.end(merge_span)
-
-            plan.layers.append(
-                LayerPlan(
-                    group=group,
-                    pos=pos,
-                    pos_of=pos_of,
-                    out_slices=out_slices,
-                    in_slices=in_slices,
-                    out_recv_maps=out_maps,
-                    in_recv_maps=in_maps,
-                    out_union_size=out_union.size,
-                    in_union_size=in_union.size,
-                    in_prev_size=in_keys.size,
-                )
-            )
-            out_keys, in_keys = out_union, in_union
-            rng = rng.subrange(pos, d)
-            obs.end(span)
-
-        # Bottom projection: where each hosted in-key sits in the reduced
-        # out union (coverage holes surface here).
-        pos = np.searchsorted(out_keys, in_keys).astype(np.intp)
-        clipped = np.minimum(pos, max(out_keys.size - 1, 0))
-        hit = (
-            (out_keys[clipped] == in_keys)
-            if out_keys.size and in_keys.size
-            else np.zeros(in_keys.size, dtype=bool)
-        )
-        plan.bottom_pos = clipped
-        plan.bottom_hit = hit
-        plan.bottom_out_keys = out_keys
-        return plan, v, v_mask
-
-    def _aligned_out_values(
-        self, rank: int, plan: NodePlan, spec: ReduceSpec, values: Mapping[int, np.ndarray]
-    ) -> np.ndarray:
-        """Caller-order values -> unique-sorted-key order, duplicates combined."""
-        ufunc = reduction_ufunc(spec.op)
-        identity = reduction_identity(spec.op, spec.dtype)
-        raw = np.asarray(values[rank], dtype=spec.dtype)
-        if raw.shape != (len(spec.out_indices[rank]), *spec.value_shape):
-            raise ValueError(
-                f"rank {rank}: out values shape {raw.shape} does not match "
-                f"(n_out={len(spec.out_indices[rank])}, "
-                f"value_shape={spec.value_shape})"
-            )
-        v = np.full((plan.n_out, *spec.value_shape), identity, dtype=spec.dtype)
-        ufunc.at(v, plan.out_inverse, raw)
-        return v
-
-    def _bottom_projection(
-        self, rank: int, plan: NodePlan, spec: ReduceSpec, v: np.ndarray,
-        v_mask: Optional[np.ndarray] = None,
-    ):
-        """Project the fully reduced bottom partial onto hosted in-keys.
-
-        Returns ``(r, r_mask)``; ``r_mask`` is None outside degraded
-        completion.  Under degradation, positions whose reduced value is
-        incomplete (mask holes) or uncovered (spec coverage holes) hold
-        the reduction identity and are reported, not raised.
-        """
-        identity = reduction_identity(spec.op, spec.dtype)
-        degrade = v_mask is not None
-        if plan.bottom_hit is not None and not bool(plan.bottom_hit.all()):
-            if self.strict_coverage and not degrade:
-                missing = int((~plan.bottom_hit).sum())
-                raise CoverageError(
-                    f"rank {rank}: {missing} requested indices have no contributor"
-                )
-        r = np.full(
-            (plan.bottom_pos.size, *spec.value_shape), identity, dtype=spec.dtype
-        )
-        hit = plan.bottom_hit
-        if degrade and v.size:
-            hit = hit & v_mask[plan.bottom_pos]
-        if v.size:
-            np.copyto(r, v[plan.bottom_pos], where=_expand(hit, r.ndim))
-        return r, (hit.copy() if degrade else None)
-
-    def _up_pass(
-        self, node: SimNode, plan: NodePlan, spec: ReduceSpec, r, inst: int,
-        r_mask: Optional[np.ndarray] = None,
-    ):
-        """Upward allgather: return reduced values along the memoised routes.
-
-        Returns ``(r, r_mask)``.  Under degraded completion every payload
-        carries its validity mask; a missing member (or one that never
-        learned our keys because its config part from us was lost) leaves
-        its whole slice invalid and identity-filled.
-        """
-        vshape = spec.value_shape
-        dtype = spec.dtype
-        degrade = r_mask is not None
-        identity = reduction_identity(spec.op, spec.dtype)
-        obs = self._obs
-        rank = self._logical(node.rank)
-        for layer in range(len(plan.layers), 0, -1):
-            span = obs.begin(
-                f"{PHASE_GATHER_UP} L{layer}",
-                node=rank,
-                phase=PHASE_GATHER_UP,
-                layer=layer,
-            )
-            lp = plan.layers[layer - 1]
-            tag = (self.name, "up", inst, layer)
-            for q, member in enumerate(lp.group):
-                part = r[lp.in_recv_maps[q]]
-                payload = (part, r_mask[lp.in_recv_maps[q]]) if degrade else part
-                self._send_to(
-                    node,
-                    member,
-                    payload,
-                    tag=tag,
-                    phase=PHASE_GATHER_UP,
-                    layer=layer,
-                )
-            if degrade:
-                out = np.full((lp.in_prev_size, *vshape), identity, dtype=dtype)
-                out_mask = np.zeros(lp.in_prev_size, dtype=bool)
-            else:
-                out = np.zeros((lp.in_prev_size, *vshape), dtype=dtype)
-                out_mask = None
-            msgs = yield from self._recv_group(
-                node, tag, lp.pos_of, len(lp.group),
-                phase=PHASE_GATHER_UP, layer=layer, nbytes_hint=r.nbytes,
-            )
-            merge_span = obs.begin(
-                f"merge L{layer}",
-                node=rank,
-                phase=PHASE_GATHER_UP,
-                layer=layer,
-                kind="merge",
-            )
-            recv_bytes = 0
-            for q, msg in enumerate(msgs):
-                if msg is None:
-                    continue  # unrecoverable member: slice stays invalid
-                sl = lp.in_slices[q]
-                if degrade:
-                    vals, mask_part = msg.payload
-                    if len(vals) != (sl.stop - sl.start):
-                        # The member never integrated our config part, so
-                        # it cannot return our keys: whole slice lost.
-                        recv_bytes += msg.nbytes
-                        continue
-                    out[sl] = vals
-                    out_mask[sl] = mask_part
-                else:
-                    out[sl] = msg.payload
-                recv_bytes += msg.nbytes
-            yield node.compute_bytes(recv_bytes)
-            obs.end(merge_span)
-            r = out
-            r_mask = out_mask
-            obs.end(span)
-        return r, r_mask
 
     # ------------------------------------------------------------------
     # Reduction
@@ -710,222 +834,57 @@ class KylixAllreduce:
         ``out_values[rank]`` must align with ``spec.out_indices[rank]``;
         the result aligns with ``spec.in_indices[rank]``.
         """
-        if self.spec is None:
-            raise RuntimeError("configure() must run before reduce()")
-        spec = self.spec
-        self._instance += 1
-        inst = self._instance
+        self._require_config("reduce")
         start = self.cluster.now
-        self._loss_events = []
         with self._obs.span("reduce"):
-            results = self.cluster.run(self._reduce_proto, spec, out_values, inst)
+            raw = self._run("reduce", out_values)
         self.last_reduce_timing = PhaseTiming(start, self.cluster.now)
-        return self._finish_report(results)
+        return self._finish_report(raw, lambda lr: self.spec.in_indices[lr])
 
     # ------------------------------------------------------------------
     # Degraded-completion accounting
     # ------------------------------------------------------------------
-    def _dead_partial_keys(self, inst: int, hole: int, upto: int) -> np.ndarray:
-        """Exact key set of ``hole``'s lost partial after ``upto`` layers.
-
-        The recurrence of the wire protocol's dead-partial key audit
-        (:func:`repro.net.protocol._dead_partial_keys`), read directly
-        from the in-memory audit stores instead of control frames::
-
-            state(h, 0) = h's raw unique out keys
-            state(h, s) = U_p sent(p -> h, s)  U  (state(h, s-1) ^ range(h, s))
-
-        A piece a peer never reached recording (it is stuck or dead
-        itself) degrades the reconstruction to a subset — under
-        multi-failure schedules some incomplete aggregates may keep a
-        valid mask, never the reverse.
-        """
-        raw = self._audit_raw.get((inst, hole))
-        keys = (
-            np.asarray(raw, dtype=np.uint64)
-            if raw is not None
-            else np.empty(0, dtype=np.uint64)
-        )
-        topo = self.topology
-        for s in range(1, upto + 1):
-            kept = (
-                keys[topo.key_range(hole, s).contains(keys)]
-                if keys.size
-                else keys
-            )
-            pieces = [kept]
-            for p in topo.group(hole, s):
-                if p == hole:
-                    continue
-                piece = self._audit_sent.get((inst, s, p, hole))
-                if piece is not None:
-                    pieces.append(np.asarray(piece, dtype=np.uint64))
-            keys = np.unique(np.concatenate(pieces))
-        return keys
-
     def _collation_rank(self, logical_rank: int) -> int:
         """Physical rank whose result represents ``logical_rank``."""
         return logical_rank
 
-    def _finish_report(self, results: Dict[int, Any]) -> Dict[int, Any]:
-        """Strip validity masks off protocol results and publish the
-        :class:`CoverageReport` for this run as :attr:`last_report`.
+    def _finish_report(
+        self, raw: Dict[int, tuple], indices_of: Callable[[int], Any]
+    ) -> Dict[int, Any]:
+        """Strip plans and validity masks off protocol results and publish
+        the :class:`CoverageReport` for this run as :attr:`last_report`.
 
-        Outside degraded completion this is the identity.  The report's
-        per-rank lost indices are taken from the same replica that
-        :meth:`reduce` returns values from, so report and results always
-        agree.
+        ``indices_of(logical_rank)`` names the raw indices a rank's result
+        aligns with.  The report's per-rank lost indices are taken from
+        the same replica whose values the caller returns, so report and
+        results always agree.
         """
+        values = {rank: out[1] for rank, out in raw.items()}
         if not self._degrade_active():
             self.last_report = None
-            return results
-        spec = self.spec
-        values: Dict[int, Any] = {}
-        masks: Dict[int, np.ndarray] = {}
-        for rank, payload in results.items():
-            vals, mask = payload
-            values[rank] = vals
-            masks[rank] = mask
+            return values
         lost: Dict[int, np.ndarray] = {}
+        sizes: Dict[int, int] = {}
         for lr in range(self.size):
+            indices = np.asarray(indices_of(lr))
+            sizes[lr] = len(indices)
             phys = self._collation_rank(lr)
-            if phys is None or phys not in masks:
+            if phys is None or phys not in raw:
                 # The rank (or every replica of it) died mid-run: there is
                 # no surviving result, so its entire slice is lost.
-                lost[lr] = np.asarray(spec.in_indices[lr])
+                lost[lr] = indices
                 continue
-            mask = masks[phys]
+            mask = raw[phys][2]
             if not bool(mask.all()):
-                lost[lr] = np.asarray(spec.in_indices[lr])[~mask]
+                lost[lr] = indices[~mask]
         self.last_report = CoverageReport(
             total_ranks=self.size,
-            in_sizes={lr: len(spec.in_indices[lr]) for lr in range(self.size)},
+            in_sizes=sizes,
             lost_indices=lost,
             dead_members=tuple(e.member for e in self._loss_events),
             losses=tuple(self._loss_events),
         )
         return values
-
-    def _value_down_pass(
-        self, node: SimNode, plan: NodePlan, spec: ReduceSpec, out_values, inst: int
-    ):
-        """Values ride the memoised routes downward; returns the node's
-        fully reduced bottom partial (aligned with ``bottom_out_keys``)
-        and its validity mask (None outside degraded completion)."""
-        rank = self._logical(node.rank)
-        degrade = self._degrade_active()
-        ufunc = reduction_ufunc(spec.op)
-        identity = reduction_identity(spec.op, spec.dtype)
-        v = self._aligned_out_values(rank, plan, spec, out_values)
-        v_mask = np.ones(v.shape[0], dtype=bool) if degrade else None
-        obs = self._obs
-        for layer, lp in enumerate(plan.layers, start=1):
-            span = obs.begin(
-                f"{PHASE_REDUCE_DOWN} L{layer}",
-                node=rank,
-                phase=PHASE_REDUCE_DOWN,
-                layer=layer,
-            )
-            tag = (self.name, "rd", inst, layer)
-            for q, member in enumerate(lp.group):
-                part = v[lp.out_slices[q]]
-                payload = (part, v_mask[lp.out_slices[q]]) if degrade else part
-                self._send_to(
-                    node,
-                    member,
-                    payload,
-                    tag=tag,
-                    phase=PHASE_REDUCE_DOWN,
-                    layer=layer,
-                )
-            partial = np.full(
-                (lp.out_union_size, *spec.value_shape), identity, dtype=spec.dtype
-            )
-            partial_mask = np.ones(lp.out_union_size, dtype=bool) if degrade else None
-            msgs = yield from self._recv_group(
-                node, tag, lp.pos_of, len(lp.group),
-                phase=PHASE_REDUCE_DOWN, layer=layer, nbytes_hint=v.nbytes,
-            )
-            merge_span = obs.begin(
-                f"merge L{layer}",
-                node=rank,
-                phase=PHASE_REDUCE_DOWN,
-                layer=layer,
-                kind="merge",
-            )
-            recv_bytes = 0
-            for q, msg in enumerate(msgs):
-                # Positions within one map are unique, so the combine can
-                # use plain fancy indexing rather than ufunc.at.
-                m = lp.out_recv_maps[q]
-                if msg is None:
-                    # Unrecoverable member: every key its part covered is
-                    # now an incomplete sum.
-                    partial_mask[m] = False
-                    continue
-                if degrade:
-                    vals, mask_part = msg.payload
-                    partial[m] = ufunc(partial[m], vals)
-                    partial_mask[m] &= mask_part
-                else:
-                    partial[m] = ufunc(partial[m], msg.payload)
-                recv_bytes += msg.nbytes
-            yield node.compute_bytes(recv_bytes)
-            obs.end(merge_span)
-            v = partial
-            v_mask = partial_mask
-            obs.end(span)
-        return v, v_mask
-
-    def _reduce_proto(
-        self, node: SimNode, spec: ReduceSpec, out_values: Mapping[int, np.ndarray], inst: int
-    ):
-        rank = self._logical(node.rank)
-        plan = self.plans[node.rank]
-        v, v_mask = yield from self._value_down_pass(node, plan, spec, out_values, inst)
-        r, r_mask = self._bottom_projection(rank, plan, spec, v, v_mask)
-        r, r_mask = yield from self._up_pass(node, plan, spec, r, inst, r_mask)
-        if r_mask is None:
-            return r[plan.in_inverse]
-        return r[plan.in_inverse], r_mask[plan.in_inverse]
-
-    def _scatter_proto(
-        self, node: SimNode, spec: ReduceSpec, out_values: Mapping[int, np.ndarray], inst: int
-    ):
-        plan = self.plans[node.rank]
-        v, _ = yield from self._value_down_pass(node, plan, spec, out_values, inst)
-        return v
-
-    def _gather_proto(
-        self, node: SimNode, spec: ReduceSpec, bottom_values: Mapping[int, np.ndarray], inst: int
-    ):
-        rank = self._logical(node.rank)
-        plan = self.plans[node.rank]
-        v = np.asarray(bottom_values[rank], dtype=spec.dtype)
-        if v.shape != (plan.bottom_out_keys.size, *spec.value_shape):
-            raise ValueError(
-                f"rank {rank}: bottom values shape {v.shape} does not match "
-                f"the bottom range ({plan.bottom_out_keys.size} keys)"
-            )
-        v_mask = (
-            np.ones(v.shape[0], dtype=bool) if self._degrade_active() else None
-        )
-        r, r_mask = self._bottom_projection(rank, plan, spec, v, v_mask)
-        r, r_mask = yield from self._up_pass(node, plan, spec, r, inst, r_mask)
-        if r_mask is None:
-            return r[plan.in_inverse]
-        return r[plan.in_inverse], r_mask[plan.in_inverse]
-
-    def _combined_proto(
-        self, node: SimNode, spec: ReduceSpec, out_values: Mapping[int, np.ndarray], inst: int
-    ):
-        rank = self._logical(node.rank)
-        plan, v, v_mask = yield from self._down_pass(node, spec, inst, values=out_values)
-        r, r_mask = self._bottom_projection(rank, plan, spec, v, v_mask)
-        r, r_mask = yield from self._up_pass(node, plan, spec, r, inst, r_mask)
-        if r_mask is None:
-            return plan, r[plan.in_inverse]
-        return plan, (r[plan.in_inverse], r_mask[plan.in_inverse])
 
     # ------------------------------------------------------------------
     def verify_plans(self) -> None:
@@ -966,23 +925,20 @@ class KylixAllreduce:
         :meth:`allgather_from_bottom` — ``reduce()`` is exactly the two in
         sequence — so callers can transform globally-reduced data in place
         (normalise, clip, apply a model update at its home) before fanning
-        results back out.
+        results back out.  Under degraded completion :attr:`last_report`
+        lists, per rank, the bottom indices whose aggregates are invalid.
         """
-        if self.spec is None:
-            raise RuntimeError("configure() must run before scatter_reduce()")
-        self._instance += 1
+        self._require_config("scatter_reduce")
         start = self.cluster.now
         with self._obs.span("scatter_reduce"):
-            raw = self.cluster.run(
-                self._scatter_proto, self.spec, out_values, self._instance
-            )
+            raw = self._run("scatter", out_values)
         self.last_reduce_timing = PhaseTiming(start, self.cluster.now)
-        out = {}
-        for rank, v in raw.items():
-            lr = self._logical(rank)
-            keys = self.plans[rank].bottom_out_keys
-            out[lr] = (self.hasher.unhash(keys), v)
-        return out
+        bottom = {
+            lr: self.hasher.unhash(self.plans[lr].bottom_out_keys)
+            for lr in range(self.size)
+        }
+        values = self._finish_report(raw, bottom.__getitem__)
+        return {self._logical(r): (bottom[self._logical(r)], v) for r, v in values.items()}
 
     def allgather_from_bottom(
         self, bottom_values: Mapping[int, np.ndarray]
@@ -993,23 +949,13 @@ class KylixAllreduce:
         :meth:`scatter_reduce` for that rank; every node receives the
         values for its configured in-set.
         """
-        if self.spec is None:
-            raise RuntimeError("configure() must run before allgather_from_bottom()")
-        # physical plans may outnumber logical ranks (replication)
-        values = {
-            self._logical(rank): bottom_values[self._logical(rank)]
-            for rank in self.plans
-        }
-        self._instance += 1
+        self._require_config("allgather_from_bottom")
         start = self.cluster.now
-        self._loss_events = []
         with self._obs.span("allgather_from_bottom"):
-            raw = self.cluster.run(
-                self._gather_proto, self.spec, values, self._instance
-            )
+            raw = self._run("gather", bottom_values)
         self.last_reduce_timing = PhaseTiming(start, self.cluster.now)
-        raw = self._finish_report(raw)
-        return {self._logical(r): v for r, v in raw.items()}
+        values = self._finish_report(raw, lambda lr: self.spec.in_indices[lr])
+        return {self._logical(r): v for r, v in values.items()}
 
     def allreduce_combined(
         self, spec: ReduceSpec, out_values: Mapping[int, np.ndarray]
@@ -1022,24 +968,16 @@ class KylixAllreduce:
         The routing plan built along the way is kept, so subsequent
         :meth:`reduce` calls (same index sets) work as usual.
         """
-        expected = set(range(self.size))
-        if set(spec.ranks) != expected:
-            raise ValueError(
-                f"spec must cover every logical rank (got {len(spec.ranks)} of "
-                f"{self.size})"
-            )
+        self._check_spec(spec)
         self.spec = spec
-        self._instance += 1
-        inst = self._instance
         start = self.cluster.now
-        self._loss_events = []
         self._audit_raw.clear()
         self._audit_sent.clear()
         with self._obs.span("allreduce_combined", phase=PHASE_COMBINED_DOWN):
-            raw = self.cluster.run(self._combined_proto, spec, out_values, inst)
-        self.plans = {rank: pr[0] for rank, pr in raw.items()}
+            raw = self._run("combined", out_values)
+        self.plans = {rank: out[0] for rank, out in raw.items()}
         self.last_combined_timing = PhaseTiming(start, self.cluster.now)
-        results = self._finish_report({rank: pr[1] for rank, pr in raw.items()})
+        results = self._finish_report(raw, lambda lr: spec.in_indices[lr])
         if self._degrade_active():
             return {
                 lr: results[self._collation_rank(lr)]

@@ -3,8 +3,8 @@
 :class:`LocalKylix` runs one OS process per logical node with pipe
 transport and sender threads; :class:`TcpKylix` is its socket twin —
 every message crosses a real loopback TCP connection with framing,
-heartbeats, and reconnect.  Both execute the exact same protocol body
-(:mod:`repro.net.protocol`) under the exact same reliability layer
+heartbeats, and reconnect.  Both run the simulator's protocol core
+through one wire driver (:mod:`repro.net.protocol`) under one reliability layer
 (:mod:`repro.net.transport`), so fault semantics, typed failures,
 degraded completion, and observability cannot drift between mediums —
 the existence proof that Kylix "can be run self-contained" (§I-B) on a

@@ -24,6 +24,8 @@ from typing import Any, Dict, Mapping, Optional, Sequence
 import numpy as np
 
 from ..allreduce import ReduceSpec
+from ..allreduce.kylix import check_values
+from ..allreduce.topology import ButterflyTopology
 from ..faults import CoverageReport, FaultPlan, LossRecord, PeerFailedError, RetryPolicy
 from ..obs import NULL_OBSERVER, Observer
 from ..obs.telemetry import FlightRecorder, TelemetryAgent, WallClockSampler
@@ -37,7 +39,8 @@ __all__ = ["ForkedKylixBase", "worker_main"]
 def worker_main(
     rank: int,
     transport_factory,
-    spec_args: Dict[str, Any],
+    proto_args: Dict[str, Any],
+    values: np.ndarray,
     result_q,
     plan: Optional[FaultPlan],
     retry: RetryPolicy,
@@ -52,13 +55,15 @@ def worker_main(
 
     ``transport_factory(rank, plan, retry, obs)`` builds the medium —
     a pipe transport or a socket mesh — and everything above it is
-    byte-identical between backends.  Results ride ``result_q`` as
-    ``(rank, value, err, snapshot, extra)`` where ``extra`` is
+    byte-identical between backends.  ``proto_args`` are the keyword
+    arguments of :func:`~repro.net.protocol.run_combined` naming the
+    spec, topology, hasher and coverage mode.  Results ride ``result_q``
+    as ``(rank, value, err, snapshot, extra)`` where ``extra`` is
     ``(lost_raw, losses)`` under degraded completion.
 
     ``extra_rounds`` (clean runs only) is a list of further per-round
-    value arrays, each aligned with ``out_idx``: the combined round
-    captures its :class:`~repro.net.protocol.WirePlan` and every extra
+    value arrays, each aligned with the rank's out indices: the combined
+    round's :class:`~repro.allreduce.NodePlan` is kept and every extra
     round replays values-only through it (``run_reduce``), so one fork +
     one configuration serve the whole batch.  ``value`` is then the list
     of per-round results.
@@ -97,25 +102,17 @@ def worker_main(
     net = None
     try:
         net = transport_factory(rank, plan, retry, obs)
-        sink = [] if extra_rounds else None
-        result, lost_raw, losses = run_combined(
-            rank,
-            net,
-            retry=retry,
-            obs=obs,
-            degrade=degrade,
-            maybe_crash=maybe_crash,
-            plan_sink=sink,
-            **spec_args,
+        node_plan, result, lost_raw, losses = run_combined(
+            rank, net, values,
+            obs=obs, degrade=degrade, maybe_crash=maybe_crash, **proto_args,
         )
         if extra_rounds:
-            wire_plan = sink[0]
             rounds = [result]
             for rnd, vals in enumerate(extra_rounds, start=1):
                 rounds.append(
                     run_reduce(
-                        rank, net, wire_plan, vals,
-                        retry=retry, obs=obs, seq=rnd, maybe_crash=maybe_crash,
+                        rank, net, node_plan, vals,
+                        obs=obs, seq=rnd, maybe_crash=maybe_crash, **proto_args,
                     )
                 )
             result = rounds
@@ -250,8 +247,8 @@ class ForkedKylixBase:
     ) -> list:
         """Many same-pattern reductions over one fork and one config.
 
-        Round 0 runs the combined protocol and captures each worker's
-        :class:`~repro.net.protocol.WirePlan`; rounds 1.. replay values
+        Round 0 runs the combined protocol and keeps each worker's
+        :class:`~repro.allreduce.NodePlan`; rounds 1.. replay values
         only through the cached maps (``run_reduce``) on the same live
         mesh — the paper's amortization without re-paying fork, connect,
         or configuration.  Returns one ``{rank: values}`` dict per round.
@@ -266,10 +263,9 @@ class ForkedKylixBase:
                 "allreduce_rounds caches the round-0 wire plan and cannot "
                 "replay fault schedules; use allreduce per round instead"
             )
+        self._check_spec(spec)
         extra = {
-            rank: [
-                np.asarray(rv[rank], dtype=spec.dtype) for rv in rounds_values[1:]
-            ]
+            rank: [check_values(spec, rank, rv[rank]) for rv in rounds_values[1:]]
             for rank in range(self.size)
         }
         raw = self._run(spec, rounds_values[0], extra)
@@ -288,10 +284,16 @@ class ForkedKylixBase:
     ) -> Dict[int, Any]:
         import multiprocessing as mp
 
-        if set(spec.ranks) != set(range(self.size)):
-            raise ValueError(
-                f"spec must cover ranks 0..{self.size - 1} (got {spec.ranks})"
-            )
+        self._check_spec(spec)
+        values = {
+            rank: check_values(spec, rank, out_values[rank]) for rank in range(self.size)
+        }
+        proto_args = dict(
+            spec=spec,
+            topology=ButterflyTopology(self.degrees, self.size),
+            hasher=MultiplicativeHasher(self._multiplier),
+            strict=self.strict_coverage,
+        )
         ctx = mp.get_context("fork") if hasattr(mp, "get_context") else mp
         mesh = self._make_mesh(ctx)
         result_q = ctx.Queue()
@@ -306,23 +308,13 @@ class ForkedKylixBase:
         self.last_report = None
         try:
             for rank in range(self.size):
-                spec_args = dict(
-                    degrees=self.degrees,
-                    multiplier=self._multiplier,
-                    op=spec.op,
-                    strict=self.strict_coverage,
-                    value_shape=spec.value_shape,
-                    dtype_str=spec.dtype.str,
-                    in_idx=spec.in_indices[rank],
-                    out_idx=spec.out_indices[rank],
-                    values=np.asarray(out_values[rank], dtype=spec.dtype),
-                )
                 p = ctx.Process(
                     target=worker_main,
                     args=(
                         rank,
                         self._transport_factory(rank, mesh),
-                        spec_args,
+                        proto_args,
+                        values[rank],
                         result_q,
                         self.faults,
                         self.retry,
@@ -352,6 +344,12 @@ class ForkedKylixBase:
             obs.end(run_span)
 
     _BACKEND_NAME = "net"
+
+    def _check_spec(self, spec: ReduceSpec) -> None:
+        if set(spec.ranks) != set(range(self.size)):
+            raise ValueError(
+                f"spec must cover ranks 0..{self.size - 1} (got {spec.ranks})"
+            )
 
     # -- parent-side supervision ------------------------------------------
     def _collect_results(

@@ -74,6 +74,9 @@ from ..obs.telemetry import (
     TimeSeriesAggregator,
     WallClockSampler,
 )
+from ..allreduce import ReduceSpec
+from ..allreduce.topology import ButterflyTopology
+from ..sparse import MultiplicativeHasher
 from .framing import FrameError, FrameStream, encode_frame, recv_frame
 from .protocol import run_combined, run_reduce
 from .tcp import TcpTransport, loopback_listener
@@ -262,40 +265,40 @@ def _run_session(
             timeout=float(cfg.get("mesh_timeout", 10.0)),
             pending=pending,
         )
-        sink: Optional[list] = [] if use_cache else None
-        wire_plan = None
+        # Node-server values come from outside the program: the protocol
+        # core checks them against this single-rank spec.
+        spec = ReduceSpec(
+            in_indices={rank: cfg["in_idx"]},
+            out_indices={rank: cfg["out_idx"]},
+            value_shape=tuple(cfg.get("value_shape", ())),
+            dtype=cfg["dtype_str"],
+            op=cfg["op"],
+        )
+        proto_args = dict(
+            spec=spec,
+            topology=ButterflyTopology(cfg["degrees"], int(np.prod(cfg["degrees"]))),
+            hasher=MultiplicativeHasher(cfg["multiplier"]),
+            strict=bool(cfg.get("strict", True)),
+        )
+        node_plan = None
         for rnd in range(int(cfg.get("rounds", 1))):
-            if wire_plan is not None:
+            if node_plan is not None:
                 cache_stats["hits"] += 1
                 result = run_reduce(
-                    rank, net, wire_plan, cfg["values"],
-                    retry=retry, obs=obs, seq=rnd, maybe_crash=maybe_crash,
+                    rank, net, node_plan, cfg["values"],
+                    obs=obs, seq=rnd, maybe_crash=maybe_crash, **proto_args,
                 )
                 rounds_out.append((rnd, result, None, ()))
                 continue
             if use_cache:
                 cache_stats["misses"] += 1
-            result, lost_raw, losses = run_combined(
-                rank,
-                net,
-                degrees=cfg["degrees"],
-                multiplier=cfg["multiplier"],
-                op=cfg["op"],
-                strict=bool(cfg.get("strict", True)),
-                value_shape=tuple(cfg.get("value_shape", ())),
-                dtype_str=cfg["dtype_str"],
-                in_idx=cfg["in_idx"],
-                out_idx=cfg["out_idx"],
-                values=cfg["values"],
-                retry=retry,
-                obs=obs,
-                degrade=degrade,
-                seq=rnd,
-                maybe_crash=maybe_crash,
-                plan_sink=sink,
+            plan_built, result, lost_raw, losses = run_combined(
+                rank, net, cfg["values"],
+                obs=obs, degrade=degrade, seq=rnd, maybe_crash=maybe_crash,
+                **proto_args,
             )
-            if sink:
-                wire_plan = sink[0]
+            if use_cache:
+                node_plan = plan_built
             rounds_out.append((rnd, result, lost_raw, tuple(losses)))
     except PeerFailedError as exc:
         err = ("peer", exc.slot, exc.phase, exc.layer, str(exc))
@@ -671,10 +674,8 @@ def drive_cluster(
     reference, the merged :class:`~repro.faults.CoverageReport` for
     degraded modes, and the static worst-case-loss gate verdict.
     """
-    from ..allreduce import ReduceSpec, dense_reduce
-    from ..allreduce.topology import ButterflyTopology
+    from ..allreduce import dense_reduce
     from ..obs.runner import EXPERIMENTS
-    from ..sparse import MultiplicativeHasher
     from ..verify.flow import worst_case_loss
 
     if workload not in EXPERIMENTS:

@@ -17,7 +17,8 @@ host serialises them — use the simulator for performance studies.
 The protocol body, the NACK/retry/dedupe reliability layer, the parent
 supervision (heartbeat reaping, zero-zombie teardown), and degraded
 completion all live in the shared layers this backend is assembled
-from — :mod:`repro.net.protocol`, :mod:`repro.net.transport`, and
+from — the protocol core :mod:`repro.allreduce.kylix` run by
+:mod:`repro.net.protocol`, then :mod:`repro.net.transport`, and
 :mod:`repro.net.base` — and are byte-identical to the TCP backend
 (:mod:`repro.net.tcp`); only the medium (pipe send/receive) is local
 to this file.

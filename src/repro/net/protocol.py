@@ -1,509 +1,185 @@
-"""The combined Kylix protocol body shared by the real backends.
+"""The wire driver of the Kylix protocol core, shared by the real backends.
 
-:func:`run_combined` is one node's blocking run of the combined
-configure+reduce protocol (§III: indices and values in one downward
-pass, reduced values allgathered back up) against any
-:class:`~repro.net.transport.BaseTransport`.  The pipe backend
-(:mod:`repro.net.local`) and the socket backend (:mod:`repro.net.tcp`)
-execute *this exact function* — the protocol cannot drift between
-mediums, and every guarantee pinned on one backend (NACK recovery,
-typed failure, degraded completion, observability parity) is pinned on
-both by construction.
+:func:`run_combined` (§III's combined configure+reduce round) and
+:func:`run_reduce` (a values-only round over a cached plan) run one
+node's :func:`~repro.allreduce.kylix.kylix_node` — the same generator the
+simulator drives — against any :class:`~repro.net.transport.BaseTransport`.
+The pipe backend (:mod:`repro.net.local`), the socket backend
+(:mod:`repro.net.tcp`) and the cluster node server execute these
+functions, so the protocol, its span schema and its degraded-completion
+accounting are the simulator's by construction.
 
-Degraded completion mirrors the simulator's mask propagation
-(:class:`~repro.allreduce.KylixAllreduce` with ``degrade=True``) element
-for element: validity masks ride the payloads, an unrecoverable member
-is a hole whose keys never join the union, incomplete aggregates are
-masked out at the bottom projection, and an up-pass carrier that never
-integrated our config part loses the whole slice.  The caller turns the
-returned per-index losses into a :class:`~repro.faults.CoverageReport`.
+The core's effects map onto the transport:
 
-One accounting, the **dead-partial key audit**, goes beyond the
-simulator's combined path.  A hole at layer ``l >= 2`` takes an
-*accumulated partial* with it — contributions other, live members fed
-it at earlier layers — and keys that also reached this node through its
-own partial would keep a valid mask over an incomplete aggregate.  The
-separate-pass protocol is immune because configuration gave every
-receiver the dead member's merge maps; the combined protocol
-reconstructs the same knowledge after the fact: every degrade-mode
-sender retains the out-key slice of each down part (and layer-1 parts
-piggyback the sender's full raw key set), so a receiver that sees a
-hole queries the hole's earlier-layer group members for what they fed
-the dead partial and masks exactly those keys.  The reconstruction is
-precisely the congruent-contributor interval terms of
-:func:`~repro.verify.flow.worst_case_loss`, so reported losses stay
-within the certified bound.
+* an **exchange** posts each part to its member through background
+  senders (our own part short-cuts the medium), collects one part per
+  member — under degraded completion an unrecoverable member comes back
+  as a hole plus a :class:`~repro.faults.LossRecord` — and joins the
+  senders;
+* a **compute** charge is free: the wall clock already pays it;
+* an **audit** becomes an audit control frame to a live peer.  Each
+  degrade-mode sender retains the out-key slice of every combined down
+  part, and layer-1 parts piggyback the sender's raw unique out keys,
+  which receivers retain.  That piggyback is the only way a wire peer
+  learns a hole's raw keys: a node that dies before its first send
+  leaves nothing to audit, and its contribution never existed on the
+  wire.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ..allreduce.base import CoverageError, reduction_identity, reduction_ufunc
-from ..allreduce.topology import ButterflyTopology
+from ..allreduce.base import PHASE_COMBINED_DOWN, PHASE_GATHER_UP, PHASE_REDUCE_DOWN
+from ..allreduce.kylix import AUDIT, EXCHANGE, NodePlan, kylix_node
 from ..cluster.node import payload_nbytes
-from ..faults import LossRecord, RetryPolicy
+from ..faults import LossRecord
+from ..faults.policy import DEFAULT_LOCAL_BASE_TIMEOUT
 from ..obs import NULL_OBSERVER
-from ..sparse import KeyRange, MultiplicativeHasher, split_sorted, union_with_maps
+# Imported by name only for perfbench/spans.py, which wraps the sparse
+# kernels in every module that binds them.
+from ..sparse import split_sorted, union_with_maps  # noqa: F401
 from .transport import BaseTransport
 
-__all__ = ["run_combined", "run_reduce", "WirePlan", "WireLayer"]
+__all__ = ["run_combined", "run_reduce"]
 
-
-@dataclass
-class WireLayer:
-    """One layer of a wire-side routing plan (see :class:`WirePlan`)."""
-
-    layer: int
-    group: List[int]  # member ids, position order
-    pos: int  # our position in the group
-    out_slices: List[slice]  # split of the previous out union
-    out_maps: List[np.ndarray]  # per position: part -> out union positions
-    out_union_size: int
-    in_slices: List[slice]  # split of the previous in union
-    in_maps: List[np.ndarray]  # per position: part -> in union positions
-    in_prev_size: int  # previous in union length (up-pass target)
-
-
-@dataclass
-class WirePlan:
-    """Everything :func:`run_reduce` needs to replay a reduction.
-
-    Captured by :func:`run_combined` (``plan_sink=``) during a combined
-    round: the memoised position maps the simulator keeps in
-    :class:`~repro.allreduce.NodePlan`, in wire-side form.  A cached plan
-    lets later same-pattern rounds carry *values only* — the paper's
-    configuration amortization, on real sockets and pipes.
-    """
-
-    rank: int
-    n_out: int  # unique out keys at layer 0
-    out_inv: np.ndarray  # caller out positions -> unique positions
-    in_inv: np.ndarray  # caller in positions -> unique positions
-    value_shape: tuple
-    dtype_str: str
-    op: str
-    bottom_clipped: np.ndarray  # in-key positions within the bottom union
-    bottom_hit: np.ndarray  # pre-degrade coverage mask for bottom_clipped
-    bottom_in_size: int  # bottom in union length
-    layers: List[WireLayer] = field(default_factory=list)
+#: Transport message kind per protocol phase.
+_KIND = {PHASE_COMBINED_DOWN: "down", PHASE_REDUCE_DOWN: "rd", PHASE_GATHER_UP: "up"}
 
 
 def _noop_crash(kind: str, layer: int) -> None:
     return None
 
 
-def _dead_partial_keys(
-    net: BaseTransport,
-    topo: ButterflyTopology,
-    hole: int,
-    upto: int,
-    seq: int,
-    retry: RetryPolicy,
-) -> np.ndarray:
-    """Exact key set of ``hole``'s lost partial after ``upto`` layers.
-
-    ``state(h, 0)`` is the hole's raw out keys (the layer-1 raw-key
-    piggyback, known to every peer it exchanged with — and if it died
-    before sending anything, its raw keys reached *nobody*, so omitting
-    them is exact, not lossy).  Then per layer::
-
-        state(h, s) = U_p sent(p -> h, s)  U  (state(h, s-1) ^ range(h, s))
-
-    where each ``sent`` piece is retained by its live sender and fetched
-    through the transport's audit control frames.  An unreachable audit
-    peer degrades the reconstruction to a subset — under multi-failure
-    schedules some incomplete aggregates may keep a valid mask, never
-    the reverse.
-    """
-    timeout = min(2.0, max(0.2, 2.0 * retry.base_timeout))
-    raw = None
-    for p in topo.group(hole, 1):
-        if p == hole:
-            continue
-        raw = net.audit(p, "recv", 1, seq, hole, timeout)
-        if raw is not None:
-            break
-    keys = np.asarray(raw, dtype=np.uint64) if raw is not None else np.empty(0, dtype=np.uint64)
-    for s in range(1, upto + 1):
-        kept = keys[topo.key_range(hole, s).contains(keys)]
-        pieces = [kept]
-        for p in topo.group(hole, s):
-            if p == hole:
-                continue
-            piece = net.audit(p, "sent", s, seq, hole, timeout)
-            if piece is not None:
-                pieces.append(np.asarray(piece, dtype=np.uint64))
-        keys = np.unique(np.concatenate(pieces))
-    return keys
-
-
 def run_combined(
     rank: int,
     net: BaseTransport,
-    *,
-    degrees: Sequence[int],
-    multiplier: int,
-    op: str,
-    strict: bool,
-    value_shape: tuple,
-    dtype_str: str,
-    in_idx: np.ndarray,
-    out_idx: np.ndarray,
     values: np.ndarray,
-    retry: RetryPolicy,
+    *,
+    spec,
+    topology,
+    hasher,
+    strict: bool,
     obs=NULL_OBSERVER,
     degrade: bool = False,
     seq: int = 0,
     maybe_crash: Callable[[str, int], None] = _noop_crash,
-    plan_sink: Optional[list] = None,
-) -> Tuple[np.ndarray, Optional[np.ndarray], List[LossRecord]]:
-    """One node's combined down/up protocol run over ``net``.
+) -> Tuple[NodePlan, np.ndarray, Optional[np.ndarray], List[LossRecord]]:
+    """One node's combined down/up round over ``net``.
 
-    Returns ``(result, lost_raw, losses)``: ``result`` aligns with
-    ``in_idx``; ``lost_raw`` is the sorted subset of ``in_idx`` whose
-    reduced values never arrived (``None`` outside degraded completion —
-    without it, an unrecoverable peer raises
-    :class:`~repro.faults.PeerFailedError` instead); ``losses`` are the
-    individual loss events for the coverage report.
+    ``spec`` needs this rank's index sets only.  Returns ``(plan, result,
+    lost_raw, losses)``: ``plan`` is the routing plan the round built
+    (cache it for :func:`run_reduce` only after a clean round — a
+    degraded round's unions hold the holes' tombstones); ``result``
+    aligns with the rank's in indices; ``lost_raw`` is the sorted subset
+    of them whose reduced values never arrived (``None`` outside degraded
+    completion — without it an unrecoverable peer raises
+    :class:`~repro.faults.PeerFailedError`); ``losses`` are the loss
+    events for the coverage report.
 
-    ``seq`` namespaces one reduction round on a long-lived transport
-    (the cluster driver runs many rounds over one socket mesh) and is
-    the per-link sequence the fault oracle sees, so round ``r`` draws
-    the same fault schedule on every backend.
-
-    ``plan_sink``, when a list, receives one :class:`WirePlan` capturing
-    the position maps this round built, so later same-pattern rounds can
-    replay values-only via :func:`run_reduce`.  Capture is only
-    meaningful on clean runs: a degraded round's unions already miss the
-    holes' keys, so caching it would bake the failure into every round.
+    ``seq`` namespaces one round on a long-lived transport and is the
+    per-link sequence the fault oracle sees, so round ``r`` draws the
+    same fault schedule on every backend.
     """
-    hasher = MultiplicativeHasher(multiplier)
-    dtype = np.dtype(dtype_str)
-    ufunc = reduction_ufunc(op)
-    identity = reduction_identity(op, dtype)
-    topo = ButterflyTopology(degrees, int(np.prod(degrees)))
-    losses: List[LossRecord] = []
-
-    out_keys, out_inv = np.unique(hasher.hash(out_idx), return_inverse=True)
-    in_keys, in_inv = np.unique(hasher.hash(in_idx), return_inverse=True)
-    n_out0 = out_keys.size
     if degrade:
         net.audit_prune(seq)
-    v = np.full((out_keys.size, *value_shape), identity, dtype=dtype)
-    ufunc.at(v, out_inv, np.asarray(values, dtype=dtype))
-    v_mask = np.ones(v.shape[0], dtype=bool) if degrade else None
-
-    rng = KeyRange.full(hasher.key_space)
-    layers = []  # (layer, group, pos, in_slices, in_maps, in_prev_size)
-    plan_layers: List[WireLayer] = []
-    for layer in range(1, topo.num_layers + 1):
-        d = topo.degrees[layer - 1]
-        group = topo.group(rank, layer)
-        pos = topo.position(rank, layer)
-        pos_of = {member: q for q, member in enumerate(group)}
-        out_slices = split_sorted(out_keys, rng, d)
-        in_slices = split_sorted(in_keys, rng, d)
-
-        maybe_crash("down", layer)
-        # Each message is tagged with the *sender's* group position so
-        # the receiver can index its merge maps.  Sends run on
-        # background senders (deadlock-free exchange) and are joined
-        # before the layer ends.
-        xchg = obs.begin(
-            f"combined_down L{layer}", node=rank, phase="combined_down", layer=layer
-        )
-        payloads = {}
-        for q, member in enumerate(group):
-            part = (
-                pos,
-                out_keys[out_slices[q]],
-                in_keys[in_slices[q]],
-                np.ascontiguousarray(v[out_slices[q]]),
-            )
-            if degrade:
-                part = part + (v_mask[out_slices[q]],)
-                if layer == 1:
-                    # Raw-key piggyback: lets any surviving peer answer
-                    # a dead-partial audit for this node's state 0.
-                    part = part + (out_keys,)
-                net.audit_sent[(seq, layer, member)] = part[1]
-            obs.message_sent(
-                rank, member, payload_nbytes(part), phase="combined_down", layer=layer
-            )
-            if member == rank:
-                payloads[pos] = part
-            else:
-                net.post(member, "down", layer, part, seq)
-
-        if degrade:
-            got, failed = net.collect(group, "down", layer, seq, missing_ok=True)
-            for m in sorted(failed):
-                losses.append(
-                    LossRecord(
-                        rank=rank, member=m, phase="combined_down", layer=layer
-                    )
-                )
-        else:
-            got, failed = net.collect(group, "down", layer, seq), set()
-        for m, part in got.items():
-            payloads[part[0]] = part
-            if degrade and layer == 1:
-                net.audit_recv[(seq, layer, m)] = part[5]
-        holes = {pos_of[m] for m in failed}
-        net.join_senders()
-        obs.end(xchg)
-
-        merge = obs.begin(
-            f"config L{layer}", node=rank, phase="config", layer=layer, kind="merge"
-        )
-        # A hole (unrecoverable member under degraded completion)
-        # contributes empty index parts: its keys simply never join
-        # this node's union, so nothing routes through the hole.
-        out_parts = [
-            payloads[q][1] if q not in holes else out_keys[:0] for q in range(d)
-        ]
-        in_parts = [
-            payloads[q][2] if q not in holes else in_keys[:0] for q in range(d)
-        ]
-        out_union, out_maps = union_with_maps(out_parts)
-        in_union, in_maps = union_with_maps(in_parts)
-        obs.histogram("config.merge_length").observe(
-            out_union.size, phase="config", layer=layer
-        )
-        obs.end(merge)
-        scatter = obs.begin(
-            f"reduce_down L{layer}",
-            node=rank,
-            phase="reduce_down",
-            layer=layer,
-            kind="merge",
-        )
-        partial = np.full((out_union.size, *value_shape), identity, dtype=dtype)
-        partial_mask = np.ones(out_union.size, dtype=bool) if degrade else None
-        for q in range(d):
-            if q in holes:
-                continue
-            m = out_maps[q]
-            partial[m] = ufunc(partial[m], payloads[q][3])
-            if degrade:
-                partial_mask[m] &= payloads[q][4]
-        # Dead-partial key audit: a hole at layer >= 2 took live members'
-        # earlier contributions with it, so any of our union keys that
-        # were also in the dead partial carry incomplete aggregates.
-        # Reconstruct its exact key set from the peers that fed it and
-        # mask those keys out.  (A layer-1 hole died before integrating
-        # anything: its raw contributions reached nobody, and what
-        # survives is exactly the reduction over the other members.)
-        if degrade and failed and layer >= 2 and out_union.size:
-            for m in sorted(failed):
-                dead = _dead_partial_keys(net, topo, m, layer - 1, seq, retry)
-                if dead.size:
-                    partial_mask[np.isin(out_union, dead)] = False
-        obs.end(scatter)
-
-        layers.append((layer, group, pos, pos_of, in_slices, in_maps, in_keys.size))
-        if plan_sink is not None:
-            plan_layers.append(
-                WireLayer(
-                    layer=layer,
-                    group=list(group),
-                    pos=pos,
-                    out_slices=list(out_slices),
-                    out_maps=list(out_maps),
-                    out_union_size=out_union.size,
-                    in_slices=list(in_slices),
-                    in_maps=list(in_maps),
-                    in_prev_size=in_keys.size,
-                )
-            )
-        out_keys, in_keys, v, v_mask = out_union, in_union, partial, partial_mask
-        rng = rng.subrange(pos, d)
-
-    # Bottom projection: where each hosted in-key sits in the reduced
-    # out union (coverage holes — and mask holes, under degradation —
-    # surface here).
-    pos_arr = np.searchsorted(out_keys, in_keys).astype(np.intp)
-    clipped = np.minimum(pos_arr, max(out_keys.size - 1, 0))
-    hit = (
-        out_keys[clipped] == in_keys
-        if out_keys.size and in_keys.size
-        else np.zeros(in_keys.size, dtype=bool)
+    core = kylix_node(
+        "combined", topology, hasher, rank, spec,
+        values=values, degrade=degrade, strict=strict, obs=obs,
     )
-    if strict and not degrade and not bool(hit.all()):
-        raise CoverageError(
-            f"rank {rank}: {int((~hit).sum())} requested indices uncovered"
-        )
-    if plan_sink is not None:
-        # Pre-degrade hit: the cached plan describes the topology's
-        # coverage, not this round's fault accidents.
-        plan_sink.append(
-            WirePlan(
-                rank=rank,
-                n_out=n_out0,
-                out_inv=out_inv.astype(np.intp),
-                in_inv=in_inv.astype(np.intp),
-                value_shape=tuple(value_shape),
-                dtype_str=dtype_str,
-                op=op,
-                bottom_clipped=clipped,
-                bottom_hit=hit.copy(),
-                bottom_in_size=in_keys.size,
-                layers=plan_layers,
-            )
-        )
-    if degrade and v.size:
-        hit = hit & v_mask[clipped]
-    r = np.full((in_keys.size, *value_shape), identity, dtype=dtype)
-    if v.size:
-        mask = hit.reshape(hit.shape + (1,) * (r.ndim - 1))
-        np.copyto(r, v[clipped], where=mask)
-    r_mask = hit.copy() if degrade else None
-
-    # Upward allgather
-    for layer, group, pos, pos_of, in_slices, in_maps, prev_size in reversed(layers):
-        d = len(group)
-        maybe_crash("up", layer)
-        gather = obs.begin(
-            f"gather_up L{layer}", node=rank, phase="gather_up", layer=layer
-        )
-        for q, member in enumerate(group):
-            part = (pos, np.ascontiguousarray(r[in_maps[q]]))
-            if degrade:
-                part = part + (r_mask[in_maps[q]],)
-            obs.message_sent(
-                rank, member, payload_nbytes(part), phase="gather_up", layer=layer
-            )
-            if member != rank:
-                net.post(member, "up", layer, part, seq)
-        if degrade:
-            out = np.full((prev_size, *value_shape), identity, dtype=dtype)
-            out_mask = np.zeros(prev_size, dtype=bool)
-            out_mask[in_slices[pos]] = r_mask[in_maps[pos]]
-            got, failed = net.collect(group, "up", layer, seq, missing_ok=True)
-            for m in sorted(failed):
-                losses.append(
-                    LossRecord(rank=rank, member=m, phase="gather_up", layer=layer)
-                )
-        else:
-            out = np.zeros((prev_size, *value_shape), dtype=dtype)
-            out_mask = None
-            got = net.collect(group, "up", layer, seq)
-        out[in_slices[pos]] = r[in_maps[pos]]
-        for part in got.values():
-            sender_pos, vals = part[0], part[1]
-            sl = in_slices[sender_pos]
-            if degrade:
-                if len(vals) != (sl.stop - sl.start):
-                    # The member never integrated our config part, so it
-                    # cannot return our keys: whole slice lost.
-                    continue
-                out[sl] = vals
-                out_mask[sl] = part[2]
-            else:
-                out[sl] = vals
-        net.join_senders()
-        obs.end(gather)
-        r, r_mask = out, out_mask
-
-    result = r[in_inv]
+    (plan, result, mask), losses = _drive(core, rank, net, seq, degrade, obs, maybe_crash)
     lost_raw = None
-    if degrade:
-        final_mask = r_mask[in_inv]
-        lost_raw = np.unique(np.asarray(in_idx, dtype=np.int64)[~final_mask])
-    return result, lost_raw, losses
+    if mask is not None:
+        lost_raw = np.unique(np.asarray(spec.in_indices[rank], dtype=np.int64)[~mask])
+    return plan, result, lost_raw, losses
 
 
 def run_reduce(
     rank: int,
     net: BaseTransport,
-    plan: WirePlan,
+    plan: NodePlan,
     values: np.ndarray,
     *,
-    retry: RetryPolicy,
+    spec,
+    topology,
+    hasher,
+    strict: bool,
     obs=NULL_OBSERVER,
     seq: int = 0,
     maybe_crash: Callable[[str, int], None] = _noop_crash,
 ) -> np.ndarray:
-    """One values-only reduction over a cached :class:`WirePlan`.
+    """One values-only round over a cached :class:`NodePlan`.
 
-    The wire-side analogue of the simulator's ``configure() once,
-    reduce() many`` amortization: indices never leave the node again —
-    every message carries only the sender's group position and a value
-    slice, merged through the plan's memoised maps.  ``seq`` must be
-    unique per round on the shared transport (the combined round that
-    built the plan used seq 0; cached rounds use their round number).
-
-    Clean runs only: degraded completion needs the combined protocol's
-    per-round mask propagation and key audit.
+    The wire-side ``configure() once, reduce() many``: indices never
+    leave the node again.  ``seq`` must be unique per round on the
+    shared transport.  Clean runs only — degraded completion needs the
+    combined round's per-round accounting.
     """
-    dtype = np.dtype(plan.dtype_str)
-    ufunc = reduction_ufunc(plan.op)
-    identity = reduction_identity(plan.op, dtype)
-    vshape = plan.value_shape
-    # Round-scoped transport state (send cache, inbox, dedupe) from
-    # rounds before the previous one is dead weight: drop it so a
-    # thousand-round service session runs in bounded memory.
+    # Round-scoped transport state from rounds before the previous one
+    # is dead weight: drop it so a long session runs in bounded memory.
     net.prune_round(seq)
+    core = kylix_node(
+        "reduce", topology, hasher, rank, spec,
+        plan=plan, values=values, strict=strict, obs=obs,
+    )
+    (_, result, _), _ = _drive(core, rank, net, seq, False, obs, maybe_crash)
+    return result
 
-    v = np.full((plan.n_out, *vshape), identity, dtype=dtype)
-    ufunc.at(v, plan.out_inv, np.asarray(values, dtype=dtype))
 
-    for lp in plan.layers:
-        maybe_crash("rd", lp.layer)
-        span = obs.begin(
-            f"reduce_down L{lp.layer}", node=rank, phase="reduce_down", layer=lp.layer
-        )
-        own = None
-        for q, member in enumerate(lp.group):
-            part = (lp.pos, np.ascontiguousarray(v[lp.out_slices[q]]))
-            obs.message_sent(
-                rank, member, payload_nbytes(part),
-                phase="reduce_down", layer=lp.layer,
-            )
-            if member == rank:
-                own = part
+def _drive(core, rank, net, seq, degrade, obs, maybe_crash):
+    """Run the protocol core over ``net``; returns (its result, losses)."""
+    losses: List[LossRecord] = []
+    reply = None
+    try:
+        while True:
+            effect = core.send(reply)
+            if effect[0] == EXCHANGE:
+                reply = _exchange(
+                    net, rank, *effect[1:5], seq, degrade, obs, maybe_crash, losses
+                )
+            elif effect[0] == AUDIT:
+                _, peer, kind, layer, hole = effect
+                base = net.retry.base_timeout or DEFAULT_LOCAL_BASE_TIMEOUT
+                timeout = min(2.0, max(0.2, 2.0 * base))
+                reply = net.audit(peer, kind, layer, seq, hole, timeout)
             else:
-                net.post(member, "rd", lp.layer, part, seq)
-        partial = np.full((lp.out_union_size, *vshape), identity, dtype=dtype)
-        m = lp.out_maps[own[0]]
-        partial[m] = ufunc(partial[m], own[1])
-        got = net.collect(lp.group, "rd", lp.layer, seq)
-        for part in got.values():
-            m = lp.out_maps[part[0]]
-            partial[m] = ufunc(partial[m], part[1])
-        net.join_senders()
-        obs.end(span)
-        v = partial
+                reply = None
+    except StopIteration as done:
+        return done.value, losses
 
-    r = np.full((plan.bottom_in_size, *vshape), identity, dtype=dtype)
-    if v.size:
-        mask = plan.bottom_hit.reshape(plan.bottom_hit.shape + (1,) * (r.ndim - 1))
-        np.copyto(r, v[plan.bottom_clipped], where=mask)
 
-    for lp in reversed(plan.layers):
-        maybe_crash("up", lp.layer)
-        span = obs.begin(
-            f"gather_up L{lp.layer}", node=rank, phase="gather_up", layer=lp.layer
+def _exchange(net, rank, phase, layer, group, parts, seq, degrade, obs, maybe_crash, losses):
+    """One layer step on the transport; returns parts by group position."""
+    kind = _KIND[phase]
+    # Crash point: die immediately before the first send at the targeted
+    # (phase, layer) — the simulator's step-kill semantics.
+    maybe_crash(kind, layer)
+    audited = degrade and phase == PHASE_COMBINED_DOWN
+    piggyback = ()
+    if audited and layer == 1:
+        piggyback = (np.concatenate([part[0] for part in parts]),)
+    for member, part in zip(group, parts):
+        if audited:
+            net.audit_sent[(seq, layer, member)] = part[0]
+            part = part + piggyback
+        obs.message_sent(rank, member, payload_nbytes(part), phase=phase, layer=layer)
+        if member != rank:
+            net.post(member, kind, layer, part, seq)
+    if degrade:
+        got, failed = net.collect(group, kind, layer, seq, missing_ok=True)
+        losses.extend(
+            LossRecord(rank=rank, member=m, phase=phase, layer=layer) for m in sorted(failed)
         )
-        for q, member in enumerate(lp.group):
-            part = (lp.pos, np.ascontiguousarray(r[lp.in_maps[q]]))
-            obs.message_sent(
-                rank, member, payload_nbytes(part),
-                phase="gather_up", layer=lp.layer,
-            )
-            if member != rank:
-                net.post(member, "up", lp.layer, part, seq)
-        out = np.zeros((lp.in_prev_size, *vshape), dtype=dtype)
-        out[lp.in_slices[lp.pos]] = r[lp.in_maps[lp.pos]]
-        got = net.collect(lp.group, "up", lp.layer, seq)
-        for part in got.values():
-            out[lp.in_slices[part[0]]] = part[1]
-        net.join_senders()
-        obs.end(span)
-        r = out
-
-    return r[plan.in_inv]
+    else:
+        got = net.collect(group, kind, layer, seq)
+    received = []
+    for member, own in zip(group, parts):
+        part = own if member == rank else got.get(member)
+        if piggyback and part is not own and part is not None:
+            net.audit_recv[(seq, layer, member)] = part[-1]
+            part = part[:-1]
+        received.append(part)
+    net.join_senders()
+    return received

@@ -53,7 +53,6 @@ def pipelined_reduces(
     batches = list(batches)
     if not batches:
         return []
-    spec = net.spec
     insts = []
     for _ in batches:
         net._instance += 1
@@ -62,19 +61,17 @@ def pipelined_reduces(
     def proto(node):
         engine = node.engine
         rank = net._logical(node.rank)
-        plan = net.plans[node.rank]
         ups = []
         for k, values in enumerate(batches):
-            v, _ = yield from net._value_down_pass(node, plan, spec, values, insts[k])
-            r, _ = net._bottom_projection(rank, plan, spec, v, None)
-            ups.append(engine.process(net._up_pass(node, plan, spec, r, insts[k])))
+            _, v, _ = yield from net.run_node(node, "scatter", insts[k], values)
+            ups.append(engine.process(net.run_node(node, "gather", insts[k], {rank: v})))
             # Admission bound: at most `depth` allgathers in flight.
             pending = [p for p in ups if not p.triggered]
             while len(pending) >= depth:
                 yield AnyOf(engine, pending)
                 pending = [p for p in pending if not p.triggered]
         yield AllOf(engine, ups)
-        return [p.value[0][plan.in_inverse] for p in ups]
+        return [p.value[1] for p in ups]
 
     raw = net.cluster.run(proto)
     return [{rank: raw[rank][k] for rank in raw} for k in range(len(batches))]

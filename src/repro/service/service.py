@@ -424,16 +424,16 @@ class ReduceService:
                 raise RuntimeError(f"unexpected job kind {kind!r} on the sim queue")
             net = st.net
             net._instance += 1
-            protos.append((net, st.spec, values, net._instance))
+            protos.append((net, values, net._instance))
 
         def wave_proto(node):
             engine = node.engine
             procs = [
-                engine.process(net._reduce_proto(node, spec, values, inst))
-                for net, spec, values, inst in protos
+                engine.process(net.run_node(node, "reduce", inst, values))
+                for net, values, inst in protos
             ]
             yield AllOf(engine, procs)
-            return [p.value for p in procs]
+            return [p.value[1] for p in procs]
 
         try:
             raw = self.cluster.run(wave_proto)

@@ -1,14 +1,14 @@
 """Static construction of Kylix configuration plans — no simulation.
 
-The configuration pass of :class:`~repro.allreduce.kylix.KylixAllreduce`
-runs on the discrete-event cluster; :func:`build_plans` replays exactly
-the same structure *synchronously*, layer by layer over all nodes, using
-the same primitives (:func:`split_sorted`, :func:`union_with_maps`,
-:meth:`ButterflyTopology.group`).  The result is a ``{rank: NodePlan}``
-mapping identical to what ``configure()`` produces — without an event
-engine, a fabric, or a single simulated message — which makes it cheap
-enough to sweep every shipped degree stack in CI and feed the invariant
-checkers in :mod:`repro.verify.invariants`.
+:func:`build_plans` is the third driver of the protocol core
+:func:`~repro.allreduce.kylix.kylix_node`: it runs every node's
+generator in configure mode and advances all of them in lock step, each
+exchange answered by routing the parts every group member yielded for
+that layer.  The result is a ``{rank: NodePlan}`` mapping identical to
+what ``configure()`` produces on the simulator — from the same code,
+without an event engine, a fabric, or a single simulated message — which
+makes it cheap enough to sweep every shipped degree stack in CI and feed
+the invariant checkers in :mod:`repro.verify.invariants`.
 
 ``python -m repro verify`` is the command-line face of this module.
 """
@@ -21,9 +21,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..allreduce.base import ReduceSpec
-from ..allreduce.kylix import LayerPlan, NodePlan
+from ..allreduce.kylix import EXCHANGE, NodePlan, kylix_node
 from ..allreduce.topology import ButterflyTopology
-from ..sparse import IndexHasher, KeyRange, MultiplicativeHasher, split_sorted, union_with_maps
+from ..sparse import IndexHasher, MultiplicativeHasher
 from .invariants import Violation, check_replication, verify_all
 
 __all__ = [
@@ -42,82 +42,32 @@ def build_plans(
 ) -> Dict[int, NodePlan]:
     """Construct every node's :class:`NodePlan` without running anything.
 
-    Mirrors ``KylixAllreduce._down_pass`` in config-only mode: the same
-    hashing, splits, unions and memoised maps, executed as a synchronous
-    sweep (all nodes advance one layer together) instead of as simulated
-    processes exchanging messages.
+    All ``m`` configure-mode generators advance together: each runs to
+    its next exchange (compute charges cost nothing here), then every
+    node receives, per group position, the part that member cut for it.
     """
     hasher = hasher if hasher is not None else MultiplicativeHasher()
     m = topology.num_nodes
     if set(spec.ranks) != set(range(m)):
         raise ValueError(f"spec must cover ranks 0..{m - 1}")
-
+    cores = {r: kylix_node("configure", topology, hasher, r, spec) for r in range(m)}
+    replies: Dict[int, Optional[list]] = dict.fromkeys(cores)
     plans: Dict[int, NodePlan] = {}
-    # Per-node evolving state: [out_keys, in_keys, key range].
-    state: Dict[int, list] = {}
-    for rank in range(m):
-        out_keys, out_inv = np.unique(hasher.hash(spec.out_indices[rank]), return_inverse=True)
-        in_keys, in_inv = np.unique(hasher.hash(spec.in_indices[rank]), return_inverse=True)
-        plans[rank] = NodePlan(
-            rank=rank,
-            out_inverse=out_inv.astype(np.intp),
-            in_inverse=in_inv.astype(np.intp),
-            n_out=out_keys.size,
-            n_in=in_keys.size,
-        )
-        state[rank] = [out_keys, in_keys, KeyRange.full(hasher.key_space)]
-
-    for layer in range(1, topology.num_layers + 1):
-        d = topology.degrees[layer - 1]
-        # Every node cuts its parts against the *current* state before any
-        # node advances — the synchronous analogue of the message exchange.
-        splits = {
-            rank: (
-                split_sorted(state[rank][0], state[rank][2], d),
-                split_sorted(state[rank][1], state[rank][2], d),
-            )
-            for rank in range(m)
-        }
-        advanced: Dict[int, list] = {}
-        for rank in range(m):
-            group = topology.group(rank, layer)
+    while cores:
+        sent = {}
+        for rank, core in list(cores.items()):
+            try:
+                effect = core.send(replies[rank])
+                while effect[0] != EXCHANGE:
+                    effect = core.send(None)
+            except StopIteration as done:
+                plans[rank] = done.value[0]
+                del cores[rank]
+                continue
+            sent[rank] = effect
+        for rank, (_, _, layer, group, _, _) in sent.items():
             pos = topology.position(rank, layer)
-            pos_of = {member: q for q, member in enumerate(group)}
-            # Member j sends part `pos` (the receiver's position) of its
-            # own split; we receive one part per group position q.
-            out_parts = [state[j][0][splits[j][0][pos]] for j in group]
-            in_parts = [state[j][1][splits[j][1][pos]] for j in group]
-            out_union, out_maps = union_with_maps(out_parts)
-            in_union, in_maps = union_with_maps(in_parts)
-            plans[rank].layers.append(
-                LayerPlan(
-                    group=group,
-                    pos=pos,
-                    pos_of=pos_of,
-                    out_slices=splits[rank][0],
-                    in_slices=splits[rank][1],
-                    out_recv_maps=out_maps,
-                    in_recv_maps=in_maps,
-                    out_union_size=out_union.size,
-                    in_union_size=in_union.size,
-                    in_prev_size=state[rank][1].size,
-                )
-            )
-            advanced[rank] = [out_union, in_union, state[rank][2].subrange(pos, d)]
-        state = advanced
-
-    for rank in range(m):
-        out_keys, in_keys, _ = state[rank]
-        pos = np.searchsorted(out_keys, in_keys).astype(np.intp)
-        clipped = np.minimum(pos, max(out_keys.size - 1, 0))
-        hit = (
-            (out_keys[clipped] == in_keys)
-            if out_keys.size and in_keys.size
-            else np.zeros(in_keys.size, dtype=bool)
-        )
-        plans[rank].bottom_pos = clipped
-        plans[rank].bottom_hit = hit
-        plans[rank].bottom_out_keys = out_keys
+            replies[rank] = [sent[member][4][pos] for member in group]
     return plans
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.allreduce import KylixAllreduce, ReduceSpec, dense_reduce
 from repro.cluster import Cluster
+from repro.faults import FaultPlan
 
 
 def case(m, n, rng):
@@ -48,6 +49,36 @@ class TestScatterReduce:
             np.add.at(total, spec.out_indices[r], vals[r])
         for rank, (idx, v) in bottom.items():
             np.testing.assert_allclose(v, total[idx], atol=1e-9)
+
+    def test_degraded_scatter_reports_invalid_bottom_aggregates(self):
+        """A mid-stack death under degraded completion: every bottom
+        index whose aggregate is incomplete is reported for its rank and
+        holds the reduction identity; every other bottom value is exact."""
+        rng = np.random.default_rng(3)
+        spec, vals = case(8, 200, rng)
+        clean = KylixAllreduce(Cluster(8), [4, 2])
+        clean.configure(spec)
+        base = clean.scatter_reduce(vals)
+        net = KylixAllreduce(
+            Cluster(8, failures=FaultPlan().kill_at_step(3, "down", 2)),
+            [4, 2],
+            degrade=True,
+        )
+        net.configure(spec)
+        out = net.scatter_reduce(vals)
+        report = net.last_report
+        assert report is not None and 3 in report.dead_members
+        assert set(report.lost_indices[3]) == set(base[3][0])  # no survivor
+        wrong_ranks = 0
+        for r in out:
+            idx, v = out[r]
+            np.testing.assert_array_equal(idx, base[r][0])
+            wrong = idx[v != base[r][1]]
+            lost = report.lost_indices.get(r, np.empty(0, dtype=np.int64))
+            assert set(lost.tolist()) == set(wrong.tolist())
+            np.testing.assert_array_equal(v[np.isin(idx, lost)], 0.0)
+            wrong_ranks += bool(wrong.size)
+        assert wrong_ranks > 0
 
     def test_requires_configuration(self):
         net = KylixAllreduce(Cluster(2), [2])

@@ -29,7 +29,7 @@ from repro.allreduce import (
 )
 from repro.cluster import Cluster, attach_tracer
 from repro.faults import FaultPlan, LinkFault, PeerFailedError, RetryPolicy
-from repro.net import LocalKylix
+from repro.net import LocalKylix, TcpKylix
 from repro.verify import worst_case_loss
 
 
@@ -196,6 +196,7 @@ class TestSimulatedChaos:
         bound = 12 * retry.total_budget(cluster.params, 4 * nbytes)
         assert cluster.now < bound
 
+    @pytest.mark.parametrize("backend", ["sim", "local", "tcp"])
     @pytest.mark.parametrize(
         "degrees,death",
         [
@@ -205,37 +206,46 @@ class TestSimulatedChaos:
             ([2, 4], (2, "down", 2)),
         ],
     )
-    def test_combined_midstack_death_audit_is_exact(self, degrees, death):
-        """The simulator port of the wire protocol's dead-partial key
-        audit (mirroring TestTcpChaos): a node crashing *mid-stack* in the
-        combined down pass takes an accumulated partial with it, and the
-        coverage report must name exactly the requester indices whose
-        aggregates actually degraded — no unreported losses, no false
-        alarms — all within the static ``worst_case_loss`` envelope."""
+    def test_combined_midstack_death_audit_is_exact(self, degrees, death, backend):
+        """The dead-partial key audit on every backend: a node crashing
+        *mid-stack* in the combined down pass takes an accumulated partial
+        with it, and the coverage report must name exactly the requester
+        indices whose aggregates actually degraded — no unreported losses,
+        no false alarms — all within the static ``worst_case_loss``
+        envelope.  The wire backends run the same protocol core as the
+        simulator, so they must report the simulator's losses too."""
         victim = death[0]
         spec, vals = make_case(8, 500, 21)
-        base = KylixAllreduce(
-            Cluster(8), degrees=degrees, degrade=True
-        ).allreduce_combined(spec, vals)
-        net = KylixAllreduce(
-            Cluster(8, failures=chaos_plan(death=death)),
-            degrees=degrees,
-            degrade=True,
-        )
-        out = net.allreduce_combined(spec, vals)
+        ref = KylixAllreduce(Cluster(8), degrees=degrees, degrade=True)
+        base = ref.allreduce_combined(spec, vals)
+        if backend == "sim":
+            plan = chaos_plan(death=death)
+            net = KylixAllreduce(
+                Cluster(8, failures=plan), degrees=degrees, degrade=True
+            )
+            out = net.allreduce_combined(spec, vals)
+        else:
+            plan = FaultPlan().kill_at_step(*death)
+            wire = {"local": LocalKylix, "tcp": TcpKylix}[backend]
+            net = wire(
+                degrees,
+                faults=plan,
+                retry=RetryPolicy(base_timeout=0.2, max_retries=2),
+                degrade=True,
+                timeout=60.0,
+            )
+            out = net.allreduce(spec, vals)
+            assert mp.active_children() == []
+            sim = KylixAllreduce(Cluster(8, failures=plan), degrees=degrees, degrade=True)
+            sim.allreduce_combined(spec, vals)
+            assert lost_sets(net.last_report) == lost_sets(sim.last_report)
         report = net.last_report
         assert not report.complete and victim in report.dead_members
-        envelope = worst_case_loss(
-            net.topology, spec, net.hasher, chaos_plan(death=death)
-        )
+        envelope = worst_case_loss(ref.topology, spec, ref.hasher, plan)
         for r in range(8):
             if r == victim:
                 continue
-            lost = set(
-                np.asarray(report.lost_indices.get(r, np.empty(0)))
-                .astype(int)
-                .tolist()
-            )
+            lost = lost_sets(report).get(r, set())
             actually_lost = {
                 int(ix)
                 for i, ix in enumerate(spec.in_indices[r])
@@ -243,6 +253,14 @@ class TestSimulatedChaos:
             }
             assert lost == actually_lost
             assert lost <= set(np.asarray(envelope.get(r, np.empty(0))).astype(int).tolist())
+
+
+def lost_sets(report):
+    """A coverage report's lost indices as ``{rank: set of ints}``."""
+    return {
+        r: set(np.asarray(ix).astype(int).tolist())
+        for r, ix in report.lost_indices.items()
+    }
 
 
 class TestLocalChaos:

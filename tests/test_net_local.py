@@ -49,6 +49,25 @@ def test_real_processes_match_reference(degrees):
     check(LocalKylix(degrees), spec, vals)
 
 
+@pytest.mark.parametrize("rounds", [1, 2])
+def test_wrong_length_values_raise_like_the_simulator(rounds):
+    """Values that do not match a rank's out indices are refused in the
+    parent with the simulator's ValueError, never broadcast by a worker."""
+    import multiprocessing as mp
+
+    rng = np.random.default_rng(4)
+    spec, vals = covered_case(4, 150, rng)
+    bad = dict(vals)
+    bad[0] = vals[0][:1]
+    net = LocalKylix([2, 2])
+    with pytest.raises(ValueError, match="out values shape"):
+        if rounds == 1:
+            net.allreduce(spec, bad)
+        else:
+            net.allreduce_rounds(spec, [vals, bad])
+    assert mp.active_children() == []
+
+
 def test_three_layer_stack():
     rng = np.random.default_rng(5)
     spec, vals = covered_case(8, 200, rng)

@@ -64,6 +64,20 @@ class TestTcpCorrectness:
         for r in spec.ranks:
             np.testing.assert_allclose(tcp[r], local[r], atol=1e-12)
 
+    @pytest.mark.parametrize("rounds", [1, 2])
+    def test_wrong_length_values_raise_like_the_simulator(self, rounds):
+        rng = np.random.default_rng(4)
+        spec, vals = covered_case(4, 150, rng)
+        bad = dict(vals)
+        bad[0] = vals[0][:1]
+        net = TcpKylix([2, 2])
+        with pytest.raises(ValueError, match="out values shape"):
+            if rounds == 1:
+                net.allreduce(spec, bad)
+            else:
+                net.allreduce_rounds(spec, [vals, bad])
+        assert_no_children()
+
     def test_no_parent_fd_leak(self):
         rng = np.random.default_rng(10)
         spec, vals = covered_case(4, 100, rng)

@@ -264,11 +264,6 @@ class TestLocalBackend:
         _, exact = traced
         assert exact
 
-    def test_spans_cover_all_three_phases(self, traced):
-        obs, _ = traced
-        phases = {sp.phase for sp in obs.spans}
-        assert {"config", "reduce_down", "gather_up", "combined_down"} <= phases
-
     def test_one_process_row_per_worker(self, traced):
         obs, _ = traced
         pids = {sp.pid for sp in obs.spans}
@@ -291,6 +286,43 @@ class TestLocalBackend:
         doc = chrome_trace(obs)
         assert validate_chrome_trace(doc) == []
         json.dumps(doc)
+
+
+class TestSpanSchema:
+    def test_combined_round_spans_match_across_backends(self):
+        """One combined round emits, per node, the same set of spans —
+        keyed by (name, phase, layer, kind) — on sim, local and tcp: all
+        three run the same protocol core, which opens the spans."""
+        from repro.allreduce import KylixAllreduce, ReduceSpec
+        from repro.cluster import Cluster
+        from repro.net import LocalKylix, TcpKylix
+
+        m, n = 4, 64
+        rng = np.random.default_rng(3)
+        idx = {
+            r: np.unique(np.concatenate([rng.choice(n, 12), np.arange(r, n, m)]))
+            for r in range(m)
+        }
+        spec = ReduceSpec(in_indices=idx, out_indices=idx)
+        values = {r: rng.normal(size=idx[r].size) for r in range(m)}
+
+        def schema(obs):
+            per_node = {}
+            for sp in obs.spans:
+                if sp.node >= 0:
+                    key = (sp.name, sp.phase, sp.layer, sp.args.get("kind"))
+                    per_node.setdefault(sp.node, set()).add(key)
+            return per_node
+
+        cluster = Cluster(m, observe=True)
+        KylixAllreduce(cluster, [2, 2]).allreduce_combined(spec, values)
+        sim = schema(cluster.obs)
+        assert sorted(sim) == list(range(m))
+        assert {key[1] for key in sim[0]} == {"combined_down", "gather_up"}
+        for wire in (LocalKylix, TcpKylix):
+            obs = Observer(name=f"schema-{wire.__name__}")
+            wire([2, 2], observe=obs).allreduce(spec, values)
+            assert schema(obs) == sim
 
 
 class TestRunner:

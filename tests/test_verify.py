@@ -5,6 +5,8 @@ valid plan/topology and asserts that exactly the matching invariant
 reports it — the checker's own regression suite.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,23 @@ def make_case(m=8, degrees=(2, 2, 2), n=200, seed=1):
     return topo, build_plans(topo, spec)
 
 
+def assert_same_fields(a, b):
+    """Recursive field-for-field equality of plan dataclasses."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b)
+        for f in dataclasses.fields(a):
+            assert_same_fields(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same_fields(x, y)
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    else:
+        assert a == b
+
+
 def invariants_fired(violations):
     return {v.invariant for v in violations}
 
@@ -46,23 +65,39 @@ class TestCleanPlans:
         assert [16] in stacks  # direct all-to-all
         assert [2, 2, 2, 2] in stacks  # binary butterfly
 
-    def test_static_plans_match_simulated_configure(self):
+    def test_static_plans_match_simulated_configure(self, tmp_path, monkeypatch):
+        """build_plans equals, field for field, the plans of a simulated
+        configure, of a simulated combined round, and of a LocalKylix
+        round (captured inside each forked worker)."""
+        import pickle
+
+        import repro.net.base as net_base
+        from repro.net import LocalKylix
+
         m, degrees = 8, [4, 2]
         spec = synthetic_spec(m, n=150, seed=7)
+        values = {r: np.ones(len(spec.out_indices[r])) for r in range(m)}
         net = KylixAllreduce(Cluster(m), degrees)
         net.configure(spec)
+        combined = KylixAllreduce(Cluster(m), degrees)
+        combined.allreduce_combined(spec, values)
+        original = net_base.run_combined
+
+        def capture(rank, *args, **kwargs):
+            out = original(rank, *args, **kwargs)
+            (tmp_path / f"plan-{rank}.pkl").write_bytes(pickle.dumps(out[0]))
+            return out
+
+        monkeypatch.setattr(net_base, "run_combined", capture)
+        LocalKylix(degrees).allreduce(spec, values)
+        wire = {
+            r: pickle.loads((tmp_path / f"plan-{r}.pkl").read_bytes()) for r in range(m)
+        }
         static = build_plans(net.topology, spec)
-        for r in range(m):
-            sim, st = net.plans[r], static[r]
-            assert sim.n_out == st.n_out and sim.n_in == st.n_in
-            np.testing.assert_array_equal(sim.bottom_out_keys, st.bottom_out_keys)
-            np.testing.assert_array_equal(sim.bottom_pos, st.bottom_pos)
-            for a, b in zip(sim.layers, st.layers):
-                assert a.group == b.group and a.pos == b.pos
-                assert a.out_slices == b.out_slices and a.in_slices == b.in_slices
-                for x, y in zip(a.in_recv_maps, b.in_recv_maps):
-                    np.testing.assert_array_equal(x, y)
-                assert a.in_prev_size == b.in_prev_size
+        for plans in (net.plans, combined.plans, wire):
+            assert sorted(plans) == list(range(m))
+            for r in range(m):
+                assert_same_fields(plans[r], static[r])
 
     def test_verify_plans_method_passes_after_configure(self):
         m = 8
