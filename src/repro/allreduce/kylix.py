@@ -39,7 +39,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from ..cluster import Cluster, SimNode
-from ..faults import CoverageReport, FaultPlan, LossRecord, PeerFailedError, RetryPolicy
+from ..faults import CoverageReport, FailureDetector, FaultPlan, LossRecord, RetryPolicy
 from ..obs import NULL_OBSERVER
 from ..simul import WaitTimeout, wait_with_timeout
 from ..sparse import (
@@ -559,31 +559,25 @@ class KylixAllreduce:
         """Logical slot hosted by a physical node."""
         return physical_rank
 
-    def _send_to(self, node: SimNode, logical_dst: int, payload, *, tag, phase, layer):
-        """Deliver ``payload`` to (every replica of) a logical destination."""
-        node.send(logical_dst, payload, tag=tag, phase=phase, layer=layer)
-
-    def _pos_from_src(self, src: int, pos_of: Dict[int, int]) -> int:
-        """Group position of the (logical) sender of a received message."""
-        return pos_of[src]
+    def replicas(self, logical_rank: int) -> List[int]:
+        """Physical nodes hosting ``logical_rank``."""
+        return [logical_rank]
 
     def _request_resend(self, node: SimNode, member: int, tag, attempt: int):
-        """Ask the fabric to retransmit ``member``'s message for ``tag``.
-
-        Tri-state: True = resend scheduled, False = the sender is dead
-        (no recovery possible), None = the sender is alive but has not
-        reached that send yet (its own recovery may be in progress).
-        """
-        return node.cluster.fabric.request_resend(node.rank, member, tag, attempt)
+        """NACK every replica of ``member`` through the fabric; answers the
+        failure detector: True if any resend was scheduled, False if every
+        replica is dead, else None (alive, has not reached that send)."""
+        statuses = [
+            node.cluster.fabric.request_resend(node.rank, src, tag, attempt)
+            for src in self.replicas(member)
+        ]
+        if True in statuses:
+            return True
+        return None if None in statuses else False
 
     def _effective_retry(self) -> Optional[RetryPolicy]:
-        """The retry policy actually in force for this protocol.
-
-        Explicit wins; otherwise a default policy auto-enables when the
-        cluster carries a :class:`~repro.faults.FaultPlan` (a fault-
-        injected run without deadlines would hang on the first loss).
-        ``None`` preserves the legacy wait-forever receive path exactly.
-        """
+        """The retry policy in force: explicit, else the default under a
+        :class:`~repro.faults.FaultPlan`, else ``None`` (wait forever)."""
         if self.retry is not None:
             return self.retry
         if isinstance(getattr(self.cluster, "failures", None), FaultPlan):
@@ -593,122 +587,39 @@ class KylixAllreduce:
     def _degrade_active(self) -> bool:
         return self.degrade and self._effective_retry() is not None
 
-    def _recv_group(
-        self,
-        node: SimNode,
-        tag,
-        pos_of: Dict[int, int],
-        count: int,
-        *,
-        phase: str = "",
-        layer: int = -1,
-        nbytes_hint: int = 0,
-    ):
-        """Receive one message per group position; duplicates (replica
-        copies that lost the race, injected copies, late retransmits) are
-        skipped.  Returns messages indexed by group position.
-
-        With a retry policy in force, each wait is bounded by a deadline
-        derived from the netmodel envelope; on expiry a NACK is sent for
-        every missing member (bounded by ``max_retries``, backoff applied
-        to subsequent deadlines), receivers dedupe retransmitted copies
-        by sequence number, and an unrecoverable member either raises
-        :class:`PeerFailedError` (strict) or leaves a ``None`` hole for
-        the degrade machinery to account (the entry becomes a loss in the
-        :class:`CoverageReport`).
-        """
-        retry = self._effective_retry()
-        received: List = [None] * count
-        got = 0
-        if retry is None:
-            while got < count:
-                msg = yield node.recv(tag=tag)
-                q = self._pos_from_src(msg.src, pos_of)
-                if received[q] is not None:
-                    continue  # duplicate replica copy
-                received[q] = msg
-                got += 1
-            return received
-
-        params = self.cluster.params
-        engine = node.engine
-        degrade = self.degrade
+    def _recv_group(self, node: SimNode, tag, group, *, phase, layer, nbytes_hint, inst):
+        """Receive one part per group member, in group order; a hole is
+        ``None``.  The :class:`~repro.faults.FailureDetector` sets the
+        deadlines, NACKs through :meth:`_request_resend` and raises or
+        records each hole.  Injected copies and late retransmits (per-link
+        seq) and replica copies that lost the race are dropped here."""
+        det = FailureDetector(
+            group, self._effective_retry(), rank=self._logical(node.rank),
+            phase=phase, layer=layer, seq=inst, strict=not self.degrade,
+            params=self.cluster.params, nbytes=nbytes_hint, losses=self._loss_events,
+        )
+        received: Dict[int, Any] = {}
         seen_seq: set = set()  # (physical src, seq) already consumed
-        tries: Dict[int, int] = {}  # member -> resend requests issued
-        abandoned: set = set()  # positions declared unrecoverable
-        timeouts = 0  # consecutive expiries since last progress
-        pending_waits = 0
-        # A member can be late because *its* upstream peer died and it is
-        # burning its own retry budget; such waits (fabric says "alive,
-        # nothing sent yet") do not consume our budget but are capped so
-        # a cascade of failures still resolves in bounded time.
-        max_pending = 4 * (retry.max_retries + 1)
-
-        def give_up(member: int, q: int):
-            if not degrade:
-                raise PeerFailedError(
-                    f"{self.name}: no response from slot {member} "
-                    f"(phase={phase or '?'}, layer={layer}) within the retry "
-                    f"budget ({retry.max_retries} resend requests)",
-                    slot=member,
-                    phase=phase,
-                    layer=layer,
-                )
-            self._loss_events.append(
-                LossRecord(
-                    rank=self._logical(node.rank), member=member, phase=phase, layer=layer
-                )
-            )
-            abandoned.add(q)
-
-        while got < count:
-            deadline = retry.timeout_for(
-                params, nbytes_hint, min(timeouts, retry.max_retries)
-            )
-            try:
-                msg = yield from wait_with_timeout(engine, node.recv(tag=tag), deadline)
-            except WaitTimeout:
-                timeouts += 1
-                any_pending = False
-                for member, q in sorted(pos_of.items(), key=lambda kv: kv[1]):
-                    if received[q] is not None or q in abandoned:
-                        continue
-                    attempt = tries.get(member, 0)
-                    if attempt >= retry.max_retries:
-                        give_up(member, q)
-                        got += 1
-                        continue
-                    status = self._request_resend(node, member, tag, attempt + 1)
-                    if status is True:
-                        tries[member] = attempt + 1
-                    elif status is False:  # sender dead: no recovery possible
-                        give_up(member, q)
-                        got += 1
-                    else:
-                        any_pending = True
-                if any_pending:
-                    pending_waits += 1
-                    if pending_waits > max_pending:
-                        for member, q in sorted(pos_of.items(), key=lambda kv: kv[1]):
-                            if received[q] is None and q not in abandoned:
-                                give_up(member, q)
-                                got += 1
-                continue
+        while not det.done:
+            wait = det.deadline()
+            if wait is None:
+                msg = yield node.recv(tag=tag)
+            else:
+                try:
+                    msg = yield from wait_with_timeout(node.engine, node.recv(tag=tag), wait)
+                except WaitTimeout:
+                    det.expired(lambda m, attempt: self._request_resend(node, m, tag, attempt))
+                    continue
             key = (msg.src, msg.seq)
             if key in seen_seq:
                 self.duplicates_dropped += 1
-                self._obs.counter("faults.duplicates_dropped").inc(
-                    phase=phase, layer=layer
-                )
+                self._obs.counter("faults.duplicates_dropped").inc(phase=phase, layer=layer)
                 continue
             seen_seq.add(key)
-            q = self._pos_from_src(msg.src, pos_of)
-            if received[q] is not None or q in abandoned:
-                continue  # replica copy that lost the race / late arrival
-            received[q] = msg
-            got += 1
-            timeouts = 0
-        return received
+            member = self._logical(msg.src)
+            if det.arrived(member):
+                received[member] = msg.payload
+        return [received.get(m) for m in group]
 
     def run_node(self, node: SimNode, mode: str, inst: int, values=None):
         """One node's protocol process: :func:`kylix_node` in ``mode``,
@@ -751,12 +662,11 @@ class KylixAllreduce:
                             raw = np.concatenate([part[0] for part in parts])
                             self._audit_raw[(inst, rank)] = raw
                     for member, part in zip(group, parts):
-                        self._send_to(node, member, part, tag=tag, phase=phase, layer=layer)
-                    msgs = yield from self._recv_group(
-                        node, tag, {m: q for q, m in enumerate(group)}, len(group),
-                        phase=phase, layer=layer, nbytes_hint=hint,
+                        for dst in self.replicas(member):
+                            node.send(dst, part, tag=tag, phase=phase, layer=layer)
+                    reply = yield from self._recv_group(
+                        node, tag, group, phase=phase, layer=layer, nbytes_hint=hint, inst=inst
                     )
-                    reply = [None if m is None else m.payload for m in msgs]
                 elif effect[0] == COMPUTE:
                     yield node.compute_bytes(effect[1])
                     reply = None

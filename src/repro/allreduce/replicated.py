@@ -25,10 +25,9 @@ from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..cluster import Cluster, SimNode
+from ..cluster import Cluster
 from ..faults import PeerFailedError
 from ..sparse import IndexHasher
-from .base import ReduceSpec
 from .kylix import KylixAllreduce
 
 __all__ = ["ReplicatedKylix", "expected_failures_survived"]
@@ -98,26 +97,6 @@ class ReplicatedKylix(KylixAllreduce):
     def replicas(self, logical_rank: int) -> list[int]:
         """Physical nodes hosting ``logical_rank``."""
         return [logical_rank + r * self.size for r in range(self.replication)]
-
-    def _send_to(self, node: SimNode, logical_dst: int, payload, *, tag, phase, layer):
-        for dst in self.replicas(logical_dst):
-            node.send(dst, payload, tag=tag, phase=phase, layer=layer)
-
-    def _pos_from_src(self, src: int, pos_of: Dict[int, int]) -> int:
-        return pos_of[self._logical(src)]
-
-    def _request_resend(self, node: SimNode, member: int, tag, attempt: int):
-        """NACK every replica of the logical member; the slot is only
-        unrecoverable when *all* replicas are dead."""
-        statuses = [
-            node.cluster.fabric.request_resend(node.rank, src, tag, attempt)
-            for src in self.replicas(member)
-        ]
-        if any(s is True for s in statuses):
-            return True
-        if any(s is None for s in statuses):
-            return None
-        return False
 
     # -- result collation ----------------------------------------------------
     def _first_live_replica(self, logical_rank: int) -> int:

@@ -15,6 +15,7 @@ real multiprocessing backend (`repro.net.LocalKylix`), so a chaos
 schedule reproduces bit-identically across backends and runs.
 """
 
+from .detector import FailureDetector
 from .errors import FaultPlanError, PeerFailedError
 from .plan import FaultDecision, FaultPlan, LinkFault, canonical_phase
 from .policy import RetryPolicy, derive_timeout
@@ -26,6 +27,7 @@ __all__ = [
     "FaultDecision",
     "canonical_phase",
     "RetryPolicy",
+    "FailureDetector",
     "derive_timeout",
     "CoverageReport",
     "LossRecord",

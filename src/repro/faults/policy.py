@@ -64,13 +64,9 @@ class RetryPolicy:
         Safety factor handed to :func:`derive_timeout` when deriving.
     jitter:
         Fraction in ``[0, 1]`` of each deadline added as *seeded,
-        deterministic* jitter.  Receivers that all lost the same message
-        (a peer rebooting, a switch hiccup) would otherwise time out in
-        lockstep and stampede the recovering peer with synchronized
-        NACKs; jitter desynchronizes the retry wave.  ``0.0`` (the
-        default) leaves every deadline bit-identical to a jitter-free
-        policy — the fault schedule, the traffic, and the trace do not
-        change.
+        deterministic* jitter, salted per receiver, so receivers that all
+        lost the same message do not stampede the recovering peer with
+        synchronized NACKs.  ``0.0`` (the default) changes nothing.
     jitter_seed:
         Seed for the jitter draws.  The draw is a pure function of
         ``(jitter_seed, attempt, salt)``, so identical configurations
@@ -99,13 +95,8 @@ class RetryPolicy:
             raise ValueError("jitter_seed must be non-negative")
 
     def _jitter_factor(self, attempt: int, salt: tuple = ()) -> float:
-        """Deterministic multiplier in ``[1, 1 + jitter]`` for one deadline.
-
-        A pure function of ``(jitter_seed, attempt, salt)`` — the same
-        coordinates the fault oracle uses — so runs are reproducible and
-        the two real-execution backends draw identical jitter for the
-        same protocol position.
-        """
+        """Multiplier in ``[1, 1 + jitter]`` for one deadline: a pure
+        function of ``(jitter_seed, attempt, salt)``, so runs reproduce."""
         if self.jitter == 0.0:
             return 1.0
         rng = np.random.default_rng(
@@ -113,62 +104,37 @@ class RetryPolicy:
         )
         return 1.0 + self.jitter * float(rng.random())
 
-    def timeout_for(
-        self, params, nbytes: int, attempt: int = 0, salt: tuple = ()
-    ) -> float:
-        """Deadline for attempt ``attempt`` (0-based) of one receive."""
+    def _first(self, params, nbytes: int) -> float:
         if self.base_timeout is not None:
-            first = self.base_timeout
-        else:
-            first = derive_timeout(params, nbytes, scale=self.timeout_scale)
-        return first * self.backoff**attempt * self._jitter_factor(attempt, salt)
+            return self.base_timeout
+        if params is None:
+            return DEFAULT_LOCAL_BASE_TIMEOUT
+        return derive_timeout(params, nbytes, scale=self.timeout_scale)
 
-    def local_timeout(self, attempt: int = 0, salt: tuple = ()) -> float:
-        """Wall-clock deadline for the real-execution backends.
+    def timeout_for(
+        self, params=None, nbytes: int = 0, attempt: int = 0, salt: tuple = ()
+    ) -> float:
+        """Deadline for attempt ``attempt`` (0-based) of one receive.
 
-        There is no netmodel envelope to derive from on a real host, so
-        the first attempt is ``base_timeout`` (or
-        :data:`DEFAULT_LOCAL_BASE_TIMEOUT`) and each retry scales it by
-        ``backoff``, plus the seeded jitter.
+        The first attempt is ``base_timeout``, or else derived from the
+        network parameters ``params`` and the message size — or, with
+        ``params=None`` (a real host, no model to derive from),
+        :data:`DEFAULT_LOCAL_BASE_TIMEOUT` of wall clock.  Each retry
+        scales it by ``backoff``, plus the seeded jitter.
         """
-        base = (
-            self.base_timeout
-            if self.base_timeout is not None
-            else DEFAULT_LOCAL_BASE_TIMEOUT
+        return (
+            self._first(params, nbytes)
+            * self.backoff**attempt
+            * self._jitter_factor(attempt, salt)
         )
-        return base * self.backoff**attempt * self._jitter_factor(attempt, salt)
 
-    def local_budget(self) -> float:
-        """Worst-case wall time one receive can take on a real backend.
-
-        The sum of every attempt's maximum deadline (jitter included).
-        Sender-thread join windows are derived from this, so an
-        aggressive retry configuration (many retries, steep backoff)
-        can never outlive the join budget — the window grows with the
-        policy instead of being a hard-coded constant.
-        """
-        base = (
-            self.base_timeout
-            if self.base_timeout is not None
-            else DEFAULT_LOCAL_BASE_TIMEOUT
-        )
-        ladder = sum(
-            base * self.backoff**attempt
-            for attempt in range(self.max_retries + 1)
-        )
-        return ladder * (1.0 + self.jitter)
-
-    def total_budget(self, params, nbytes: int) -> float:
-        """Worst-case wall time before a receive gives up — the bound the
+    def total_budget(self, params=None, nbytes: int = 0) -> float:
+        """Worst-case time before a receive gives up — the bound the
         acceptance criteria ("no run hangs past its deadline bound") refer
         to.  Jitter is counted at its maximum, so the bound holds for
-        every seed."""
-        if self.base_timeout is not None:
-            first = self.base_timeout
-        else:
-            first = derive_timeout(params, nbytes, scale=self.timeout_scale)
-        ladder = sum(
-            first * self.backoff**attempt
-            for attempt in range(self.max_retries + 1)
-        )
+        every seed.  Sender-thread join windows on the real backends are
+        derived from it (``params=None``), so an aggressive retry
+        configuration grows the window instead of outliving a constant."""
+        first = self._first(params, nbytes)
+        ladder = sum(first * self.backoff**a for a in range(self.max_retries + 1))
         return ladder * (1.0 + self.jitter)

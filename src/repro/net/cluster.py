@@ -307,7 +307,7 @@ def _run_session(
     try:
         # Slow peers may still want resends of our final up-parts; give
         # the NACK layer a short grace before tearing the mesh down.
-        net.linger(threading.Event(), budget=min(0.5, retry.local_budget()))
+        net.linger(threading.Event(), budget=min(0.5, retry.total_budget()))
         # Stop (and final-flush) the sampler before the result frame so
         # the telemetry stream is complete and ordered before it.
         if sampler is not None:

@@ -109,7 +109,7 @@ class LocalTransport(BaseTransport):
         t.start()
         self.senders.append(t)
 
-    def _pump_once(self):
+    def pump(self):
         """Drain every readable connection once; returns peers hit EOF."""
         dead = []
         for member, conn in self.conns.items():

@@ -17,7 +17,8 @@ The core's effects map onto the transport:
   as a hole plus a :class:`~repro.faults.LossRecord` — and joins the
   senders;
 * a **compute** charge is free: the wall clock already pays it;
-* an **audit** becomes an audit control frame to a live peer.  Each
+* an **audit** becomes an audit control frame to a live peer, paced by
+  the same failure detector as a collect (each expiry re-sends it).  Each
   degrade-mode sender retains the out-key slice of every combined down
   part, and layer-1 parts piggyback the sender's raw unique out keys,
   which receivers retain.  That piggyback is the only way a wire peer
@@ -36,7 +37,6 @@ from ..allreduce.base import PHASE_COMBINED_DOWN, PHASE_GATHER_UP, PHASE_REDUCE_
 from ..allreduce.kylix import AUDIT, EXCHANGE, NodePlan, kylix_node
 from ..cluster.node import payload_nbytes
 from ..faults import LossRecord
-from ..faults.policy import DEFAULT_LOCAL_BASE_TIMEOUT
 from ..obs import NULL_OBSERVER
 # Imported by name only for perfbench/spans.py, which wraps the sparse
 # kernels in every module that binds them.
@@ -141,9 +141,7 @@ def _drive(core, rank, net, seq, degrade, obs, maybe_crash):
                 )
             elif effect[0] == AUDIT:
                 _, peer, kind, layer, hole = effect
-                base = net.retry.base_timeout or DEFAULT_LOCAL_BASE_TIMEOUT
-                timeout = min(2.0, max(0.2, 2.0 * base))
-                reply = net.audit(peer, kind, layer, seq, hole, timeout)
+                reply = net.audit(peer, kind, layer, seq, hole)
             else:
                 reply = None
     except StopIteration as done:
@@ -167,13 +165,7 @@ def _exchange(net, rank, phase, layer, group, parts, seq, degrade, obs, maybe_cr
         obs.message_sent(rank, member, payload_nbytes(part), phase=phase, layer=layer)
         if member != rank:
             net.post(member, kind, layer, part, seq)
-    if degrade:
-        got, failed = net.collect(group, kind, layer, seq, missing_ok=True)
-        losses.extend(
-            LossRecord(rank=rank, member=m, phase=phase, layer=layer) for m in sorted(failed)
-        )
-    else:
-        got = net.collect(group, kind, layer, seq)
+    got = net.collect(group, kind, layer, seq, losses=losses if degrade else None)
     received = []
     for member, own in zip(group, parts):
         part = own if member == rank else got.get(member)

@@ -406,7 +406,7 @@ class TcpTransport(BaseTransport):
                 link.down_at = time.monotonic()
 
     # -- pump / liveness ---------------------------------------------------
-    def _pump_once(self) -> List[int]:
+    def pump(self) -> List[int]:
         while True:
             try:
                 peer, msg = self._rx.get_nowait()

@@ -9,17 +9,14 @@ layer, seq)" to the protocol body in :mod:`repro.net.protocol`:
   duplicate, or delay accordingly, with the same decision inputs as the
   simulator fabric (so schedules reproduce bit-identically across all
   backends).
-* **NACK/retry** — receivers enforce per-attempt deadlines from the
-  :class:`~repro.faults.RetryPolicy` (wall-clock ladder + seeded
-  jitter); a deadline miss NACKs every missing peer, and senders service
-  resends from their send cache.
+* **NACK/retry and bounded failure** — receivers feed the simulator's
+  :class:`~repro.faults.FailureDetector` (on the wall clock): a deadline
+  miss NACKs every missing peer, senders service resends from their send
+  cache, and a peer EOF or an exhausted budget raises a typed
+  :class:`~repro.faults.PeerFailedError` or becomes an accounted hole.
+  Never a hang.
 * **Dedupe** — retransmitted or fault-duplicated copies are dropped by
   (peer, kind, layer, seq).
-* **Bounded failure** — a peer EOF or an exhausted retry budget either
-  raises a typed :class:`~repro.faults.PeerFailedError` (strict mode) or
-  marks the member *failed* and keeps going (degraded completion: the
-  caller accounts the hole in a :class:`~repro.faults.CoverageReport`).
-  Never a hang.
 
 Concrete transports implement the medium: pipe send/receive for
 :class:`~repro.net.local.LocalKylix`, framed sockets with per-peer
@@ -31,11 +28,10 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..cluster.node import payload_nbytes
-from ..faults import PeerFailedError, RetryPolicy
-from ..faults.plan import _PHASE_ID, canonical_phase
+from ..faults import FailureDetector, LossRecord, RetryPolicy
 from ..obs import NULL_OBSERVER
 from ..verify.errors import ProtocolInvariantError
 from ..verify.watchlock import watched_lock
@@ -49,6 +45,9 @@ POLL_INTERVAL = 0.005
 #: backends run the combined protocol, so the downward exchange reports
 #: as ``combined_down`` (matching the simulator's combined variant).
 PHASE_OF = {"down": "combined_down", "rd": "reduce_down", "up": "gather_up"}
+
+#: An audit request still awaiting its reply.
+_PENDING = object()
 
 #: One logical message slot on a link.
 _Key = Tuple[int, str, int, int]  # (member, kind, layer, seq)
@@ -64,7 +63,7 @@ class BaseTransport:
         Transmit one frame; swallow peer-already-gone errors (the
         reliability layer recovers or reports them) and mark the peer
         closed on hard loss.
-    ``_pump_once()``
+    ``pump()``
         Drain whatever has arrived, calling :meth:`_dispatch` per frame;
         return the list of members newly seen dead (EOF / stale).
     ``post(member, kind, layer, part, seq=0)``
@@ -83,10 +82,9 @@ class BaseTransport:
         # thread-safe, so their updates serialise through this lock.
         self._obs_lock = watched_lock("net.transport.BaseTransport._obs_lock")
         self.sent: Dict[_Key, Any] = {}
-        self.inbox: Dict[_Key, Any] = {}
-        self.arrived: Dict[_Key, float] = {}
+        self.inbox: Dict[_Key, Tuple[Any, float]] = {}  # -> (part, arrival time)
         #: Keys a NACKed peer answered "alive, not produced yet" for —
-        #: the cascade signal :meth:`collect` spends pending waits on.
+        #: the cascade signal :meth:`collect` answers the detector with.
         self.waiting: Dict[_Key, float] = {}
         self.seen: Set[_Key] = set()
         self.closed: Set[int] = set()
@@ -103,8 +101,7 @@ class BaseTransport:
         #: pass's merge maps.
         self.audit_sent: Dict[Tuple[int, int, int], Any] = {}
         self.audit_recv: Dict[Tuple[int, int, int], Any] = {}
-        self._audit_replies: Dict[int, Any] = {}
-        self._audit_events: Dict[int, threading.Event] = {}
+        self._audit_replies: Dict[int, Any] = {}  # token -> keys or _PENDING
         self._audit_token = 0
         self._audit_lock = watched_lock("net.transport.BaseTransport._audit_lock")
         #: TELEMETRY frames received from peers, as (member, sample).
@@ -118,13 +115,19 @@ class BaseTransport:
     def _send_frame(self, member: int, frame: Any) -> None:
         raise NotImplementedError
 
-    def _pump_once(self) -> List[int]:
+    def pump(self) -> List[int]:
         raise NotImplementedError
 
     def post(self, member: int, kind: str, layer: int, part, seq: int = 0) -> None:
         raise NotImplementedError
 
     # -- sending -----------------------------------------------------------
+    def _decide(self, member, kind, layer, seq, attempt):
+        """The fault oracle's decision for one frame to ``member``, if any."""
+        return None if self.plan is None else self.plan.decide(
+            self.rank, member, kind, layer, seq, attempt
+        )
+
     def _transmit(
         self, member, kind, layer, part, seq=0, attempt=0, sent_at=None
     ) -> None:
@@ -136,9 +139,7 @@ class BaseTransport:
         """
         if sent_at is None:
             sent_at = time.monotonic()
-        decision = None
-        if self.plan is not None:
-            decision = self.plan.decide(self.rank, member, kind, layer, seq, attempt)
+        decision = self._decide(member, kind, layer, seq, attempt)
         if decision is not None and self.obs.enabled:
             with self._obs_lock:
                 if decision.drop:
@@ -162,14 +163,12 @@ class BaseTransport:
         """Join in-flight sender threads.
 
         The default budget is the retry policy's full receive budget
-        (:meth:`~repro.faults.RetryPolicy.local_budget`): a sender
+        (:meth:`~repro.faults.RetryPolicy.total_budget`): a sender
         stalled longer than any receiver could still be waiting is
-        abandoned, never waited on forever — and an aggressive retry
-        configuration grows the join window with it instead of outliving
-        a hard-coded constant.
+        abandoned, never waited on forever.
         """
         if budget is None:
-            budget = self.retry.local_budget()
+            budget = self.retry.total_budget()
         deadline = time.monotonic() + budget
         for t in self.senders:
             t.join(timeout=max(0.0, deadline - time.monotonic()))
@@ -189,8 +188,7 @@ class BaseTransport:
                 return
             now = time.monotonic()
             self.seen.add(key)
-            self.inbox[key] = part
-            self.arrived[key] = now
+            self.inbox[key] = (part, now)
             if self.obs.enabled:
                 with self._obs_lock:
                     self.obs.message_delivered(
@@ -221,15 +219,11 @@ class BaseTransport:
                 # We have not produced that message yet (e.g. we are
                 # stuck one layer back burning our own retry budget on a
                 # dead upstream peer).  Tell the requester we are alive
-                # and slow, so its pending-wait patience is spent only on
-                # live cascades.  The reply takes the same fault draw the
+                # and slow, so its failure detector spends no tries on a
+                # live cascade.  The reply takes the same fault draw the
                 # retransmission would have taken: on a partitioned link
                 # it is swallowed and the requester gives up fast.
-                decision = None
-                if self.plan is not None:
-                    decision = self.plan.decide(
-                        self.rank, member, kind, layer, seq, attempt
-                    )
+                decision = self._decide(member, kind, layer, seq, attempt)
                 if decision is None or not decision.drop:
                     self._send_frame(member, ("wait", kind, layer, seq))
         elif obj[0] == "wait":
@@ -243,10 +237,8 @@ class BaseTransport:
             self._send_frame(member, ("audit-rep", token, store.get((seq, layer, hole))))
         elif obj[0] == "audit-rep":
             _, token, keys = obj
-            self._audit_replies[token] = keys
-            evt = self._audit_events.get(token)
-            if evt is not None:
-                evt.set()
+            if token in self._audit_replies:  # not a re-sent request's late extra
+                self._audit_replies[token] = keys
         elif obj[0] == "telemetry":
             # Control-plane TELEMETRY frame: a peer streaming its
             # TelemetrySample upstream (repro.obs.telemetry).  Buffered
@@ -259,22 +251,12 @@ class BaseTransport:
                 invariant="message-order",
             )
 
-    def pump(self) -> List[int]:
-        """Drain everything readable once; returns peers newly seen dead."""
-        return self._pump_once()
-
     def drain_telemetry(self) -> List[Tuple[int, Any]]:
         """Pop every buffered TELEMETRY frame as (member, sample)."""
         out: List[Tuple[int, Any]] = []
         while self.telemetry_in:
             out.append(self.telemetry_in.popleft())
         return out
-
-    def _jitter_salt(self, kind: str, layer: int, seq: int) -> tuple:
-        # Per-(node, phase, layer, seq) salt: peers that all lost the
-        # same message draw *different* deadlines and do not stampede
-        # the recovering sender with synchronized NACKs.
-        return (self.rank, _PHASE_ID.get(canonical_phase(kind), 0), layer, seq)
 
     def collect(
         self,
@@ -283,149 +265,116 @@ class BaseTransport:
         layer: int,
         seq: int = 0,
         *,
-        missing_ok: bool = False,
-    ):
-        """Block until one (kind, layer, seq) message from every member.
+        losses: Optional[List[LossRecord]] = None,
+    ) -> Dict[int, Any]:
+        """Block until one (kind, layer, seq) message from every member;
+        returns ``{member: payload}``.
 
-        Per-attempt deadlines with exponential backoff and seeded
-        jitter; deadline misses NACK every missing peer.  A peer that
-        hits EOF or outlives the retry budget either raises
-        :class:`PeerFailedError` (default) or — with ``missing_ok`` —
-        is marked failed and skipped.  Either way: bounded time.
-
-        Returns ``{member: payload}`` without ``missing_ok``;
-        ``({member: payload}, failed_members)`` with it.
+        The :class:`~repro.faults.FailureDetector` decides when a member
+        is a hole.  Without ``losses`` a hole raises; with it (degraded
+        completion) its loss record is appended there, it is missing from
+        the result, and later collects fail it at once (``abandoned``).
         """
-        retry = self.retry
-        salt = self._jitter_salt(kind, layer, seq)
-        wanted = [m for m in members if m != self.rank]
-        failed: Set[int] = set()
-        if missing_ok:
-            for m in wanted:
-                if m in self.abandoned:
-                    failed.add(m)
-            wanted = [m for m in wanted if m not in failed]
-        attempt = 0
-        # A member can be late because *its* upstream peer died and it is
-        # burning its own retry budget; such members answer NACKs with
-        # "wait" frames and get extra top-of-ladder deadlines that do not
-        # consume our budget — capped, so a cascade of failures still
-        # resolves in bounded time (mirrors the simulator's pending-wait
-        # cap in ``KylixAllreduce._recv_group``).
-        pending_waits = 0
-        max_pending = 4 * (retry.max_retries + 1)
-        deadline = time.monotonic() + retry.local_timeout(0, salt)
+        degrade = losses is not None
+        det = FailureDetector(
+            [m for m in members if m != self.rank], self.retry, rank=self.rank,
+            phase=PHASE_OF.get(kind, kind), layer=layer, seq=seq, strict=not degrade,
+            known_dead=self.abandoned if degrade else frozenset(), losses=losses,
+        )
+
+        nacks: Dict[int, int] = {}  # NACKs sent per member: each resend's attempt
+
+        def nack(member: int, attempt: int):
+            # A NACK is answered by the next expiry: a "wait" frame means
+            # alive, not produced yet (no try spent), silence spends a
+            # try.  The first NACK to a member has had no answer yet.
+            # (Closed peers never get here: _await reports them dead.)
+            late = self.waiting.pop((member, kind, layer, seq), None) is not None
+            nacks[member] = nacks.get(member, 0) + 1
+            self._send_frame(member, ("nack", kind, layer, seq, nacks[member]))
+            return None if late or nacks[member] == 1 else True
+
+        arrived = self._await(det, lambda m: (m, kind, layer, seq) in self.inbox, nack)
+        if degrade:
+            self.abandoned.update(e.member for e in losses)
+        got = {m: self.inbox[(m, kind, layer, seq)] for m in arrived}
+        if self.obs.enabled:
+            # Queue wait: dispatch time -> consumption time, mirroring
+            # the simulator fabric's mailbox accounting.
+            now = time.monotonic()
+            with self._obs_lock:
+                for _, arrived in got.values():
+                    self.obs.histogram("net.queue_wait").observe(
+                        max(now - arrived, 0.0), node=self.rank, phase=det.phase, layer=layer
+                    )
+        return {m: part for m, (part, _) in got.items()}
+
+    def _await(self, det: FailureDetector, ready, nack) -> List[int]:
+        """Feed ``det`` from the medium until no member owes it a part;
+        returns the members whose part arrived.
+
+        ``ready(member)`` says whether the member's part is in;
+        ``nack`` answers the detector on each expiry."""
+        arrived: List[int] = []
+        expiry = time.monotonic() + det.deadline()
         while True:
-            missing = [m for m in wanted if (m, kind, layer, seq) not in self.inbox]
-            if not missing:
-                got = {m: self.inbox[(m, kind, layer, seq)] for m in wanted}
-                if self.obs.enabled:
-                    # Queue wait: dispatch time -> consumption time,
-                    # mirroring the simulator fabric's mailbox accounting.
-                    now = time.monotonic()
-                    with self._obs_lock:
-                        for m in wanted:
-                            arr = self.arrived.get((m, kind, layer, seq))
-                            if arr is not None:
-                                self.obs.histogram("net.queue_wait").observe(
-                                    max(now - arr, 0.0),
-                                    node=self.rank,
-                                    phase=PHASE_OF.get(kind, kind),
-                                    layer=layer,
-                                )
-                return (got, failed) if missing_ok else got
-            # Drain *every* connection, not just the missing peers': NACKs
-            # for our earlier sends arrive on links this collect is not
-            # waiting on, and leaving them unread deadlocks chains of
+            new = [m for m in list(det.owed) if ready(m) and det.arrived(m)]
+            if new:
+                arrived += new
+                expiry = time.monotonic() + det.deadline()
+            if det.done:
+                return arrived
+            # Drain *every* connection, not just the owing peers': NACKs
+            # and audit requests for us arrive on links this wait is not
+            # watching, and leaving them unread deadlocks chains of
             # stuck groups (each blocked node polls only the peers it
-            # waits for, so nobody services anybody's resend requests).
+            # waits for, so nobody services anybody's requests).
             self.pump()
-            still = []
-            for m in missing:
-                if m in self.closed and (m, kind, layer, seq) not in self.inbox:
-                    if not missing_ok:
-                        raise PeerFailedError(
-                            f"rank {self.rank}: peer {m} closed its connection "
-                            f"during {kind} layer {layer}",
-                            slot=m, phase=kind, layer=layer,
-                        )
-                    failed.add(m)
-                    self.abandoned.add(m)
-                else:
-                    still.append(m)
-            wanted = [m for m in wanted if m not in failed]
-            missing = still
-            if not missing:
-                continue
-            if time.monotonic() >= deadline:
-                if attempt >= retry.max_retries:
-                    # Consume (one-shot) any "alive, not produced yet"
-                    # answers: a peer in a live cascade re-earns its
-                    # patience every round, a silent or dead peer never
-                    # does.
-                    pending = [
-                        m for m in missing
-                        if self.waiting.pop((m, kind, layer, seq), None) is not None
-                    ]
-                    if pending and pending_waits < max_pending:
-                        pending_waits += 1
-                        for m in missing:
-                            self._send_frame(m, ("nack", kind, layer, seq, attempt))
-                        deadline = time.monotonic() + retry.local_timeout(
-                            attempt, salt
-                        )
-                        time.sleep(POLL_INTERVAL)
-                        continue
-                    if not missing_ok:
-                        raise PeerFailedError(
-                            f"rank {self.rank}: no {kind} layer {layer} message "
-                            f"from {missing} within the retry budget "
-                            f"({retry.max_retries} resend requests)",
-                            slot=missing[0], phase=kind, layer=layer,
-                        )
-                    for m in missing:
-                        failed.add(m)
-                        self.abandoned.add(m)
-                    wanted = [m for m in wanted if m not in failed]
-                    continue
-                attempt += 1
-                for m in missing:
-                    self._send_frame(m, ("nack", kind, layer, seq, attempt))
-                deadline = time.monotonic() + retry.local_timeout(attempt, salt)
+            for m in list(det.owed):
+                if m in self.closed and not ready(m):
+                    det.dead(m)
+            now = time.monotonic()
+            if not det.done and now >= expiry:
+                det.expired(nack)
+                expiry = now + det.deadline()
             time.sleep(POLL_INTERVAL)
 
     def audit(
-        self, member: int, direction: str, layer: int, seq: int, hole: int,
-        timeout: float,
+        self, member: int, direction: str, layer: int, seq: int, hole: int
     ) -> Optional[Any]:
         """Fetch retained audit keys about ``hole`` from ``member``.
 
         ``direction`` is ``"sent"`` (the out-key slice ``member`` sent to
         ``hole`` at ``layer``) or ``"recv"`` (the raw-key piggyback
-        ``member`` received from ``hole`` at layer 1).  Returns ``None``
-        when the peer has nothing retained or does not answer within
-        ``timeout`` — the caller degrades to a partial reconstruction.
+        ``member`` received from ``hole`` at layer 1).  A one-member
+        :class:`~repro.faults.FailureDetector` paces the wait: each
+        expiry re-sends the request (its token makes that idempotent).
+        Returns ``None`` when the peer has nothing retained, is closed or
+        abandoned, or the detector gives up — the caller degrades to a
+        partial reconstruction.
         """
         store = self.audit_sent if direction == "sent" else self.audit_recv
         if member == self.rank:
             return store.get((seq, layer, hole))
         if member in self.closed or member in self.abandoned:
             return None
+        det = FailureDetector(
+            [member], self.retry, rank=self.rank, phase="audit", layer=layer, seq=seq, strict=False
+        )
         with self._audit_lock:
             self._audit_token += 1
             token = self._audit_token
-        evt = threading.Event()
-        self._audit_events[token] = evt
-        self._send_frame(member, ("audit-req", token, direction, layer, seq, hole))
-        deadline = time.monotonic() + timeout
-        # Pump while waiting: on the pipe transport replies only surface
-        # through our own drain, and two peers auditing each other's
-        # holes simultaneously must keep servicing one another.
-        while not evt.is_set() and time.monotonic() < deadline:
-            self.pump()
-            evt.wait(timeout=POLL_INTERVAL)  # lint: ok — bounded wait
-        del self._audit_events[token]
-        return self._audit_replies.pop(token, None)
+        self._audit_replies[token] = _PENDING
+        request = ("audit-req", token, direction, layer, seq, hole)
+        self._send_frame(member, request)
+
+        def nack(m: int, attempt: int):
+            self._send_frame(m, request)
+            return True
+
+        self._await(det, lambda m: self._audit_replies[token] is not _PENDING, nack)
+        keys = self._audit_replies.pop(token)
+        return None if keys is _PENDING else keys
 
     def audit_prune(self, seq: int) -> None:
         """Drop audit retention older than the previous round."""
@@ -436,13 +385,13 @@ class BaseTransport:
     def prune_round(self, seq: int) -> None:
         """Drop per-round message state older than the previous round.
 
-        The send cache, inbox, arrival stamps, wait notes, and dedupe set
-        are keyed ``(member, kind, layer, seq)`` and only ever grow; a
-        long-lived transport running many rounds (the cluster driver, the
-        reduce service) leaks without this.  One round of history is
-        kept — a slow peer may still NACK the previous round's sends.
+        The send cache, inbox, wait notes, and dedupe set are keyed
+        ``(member, kind, layer, seq)`` and only ever grow; a long-lived
+        transport running many rounds (the cluster driver, the reduce
+        service) leaks without this.  One round of history is kept — a
+        slow peer may still NACK the previous round's sends.
         """
-        for store in (self.sent, self.inbox, self.arrived, self.waiting):
+        for store in (self.sent, self.inbox, self.waiting):
             for k in [k for k in store if k[3] < seq - 1]:
                 del store[k]
         self.seen = {k for k in self.seen if k[3] >= seq - 1}

@@ -6,7 +6,9 @@ increasing sequence number"), and every benchmark number in
 EXPERIMENTS.md leans on that promise.  Wall-clock reads and unseeded
 random draws inside ``simul/`` or ``allreduce/`` would break it, so both
 are banned there: simulated time comes from ``engine.now``, randomness
-from an explicitly seeded ``numpy`` Generator.
+from an explicitly seeded ``numpy`` Generator.  The failure detector
+(``faults/detector.py``) is in scope too: the simulator and the wire
+share it, so it must take time only from its driver.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from ._util import dotted_name
 
 __all__ = ["NoWallClockRule", "NoUnseededRngRule"]
 
-_SCOPES = ("simul/", "allreduce/")
+_SCOPES = ("simul/", "allreduce/", "faults/detector.py")
 
 _WALL_CLOCK = {
     "time.time",
@@ -48,8 +50,8 @@ def _in_scope(relpath: str) -> bool:
 class NoWallClockRule(LintRule):
     name = "no-wall-clock"
     description = (
-        "simul/ and allreduce/ must read time from engine.now, never the "
-        "host clock"
+        "simul/, allreduce/ and the failure detector must read time from "
+        "their driver, never the host clock"
     )
 
     def applies_to(self, relpath: str) -> bool:

@@ -114,6 +114,32 @@ class TestSimulatedChaos:
             np.testing.assert_array_equal(out[r], base[r])
             np.testing.assert_allclose(out[r], ref[r], atol=1e-9)
 
+    def test_receivers_draw_salted_jitter(self, monkeypatch):
+        """Jittered deadlines are salted per receiver on the simulator
+        too: receivers that lost the same message must not NACK in lock
+        step.  Every first-attempt deadline of a single-layer configure
+        is for the same (phase, layer), so without a per-receiver salt
+        they would all be equal."""
+        first = []
+        timeout_for = RetryPolicy.timeout_for
+
+        def record(self, params=None, nbytes=0, attempt=0, salt=()):
+            deadline = timeout_for(self, params, nbytes, attempt, salt)
+            if attempt == 0:
+                first.append(deadline)
+            return deadline
+
+        monkeypatch.setattr(RetryPolicy, "timeout_for", record)
+        spec, _ = make_case(8, 200, 5)
+        retry = RetryPolicy(base_timeout=1e-3, jitter=0.5)
+        plan = FaultPlan(seed=5).with_rule(LinkFault(drop=0.1))
+        net = KylixAllreduce(
+            Cluster(8, failures=plan), degrees=[8], retry=retry, degrade=True
+        )
+        net.configure(spec)
+        assert len(first) >= 8
+        assert len(set(first)) == 8  # one draw per receiver
+
     def test_identical_seeds_give_bit_identical_traces(self):
         spec, vals = make_case(8, 500, 4)
 
@@ -264,7 +290,8 @@ def lost_sets(report):
 
 
 class TestLocalChaos:
-    def test_local_backend_recovers_from_chaos(self):
+    @pytest.mark.parametrize("backend", ["local", "tcp"])
+    def test_local_backend_recovers_from_chaos(self, backend):
         spec, vals = make_case(4, 200, 7)
         ref = dense_reduce(spec, vals)
         plan = (
@@ -272,9 +299,8 @@ class TestLocalChaos:
             .with_rule(LinkFault(drop=0.10, duplicate=0.05))
             .with_rule(LinkFault(src=1, delay=0.02))
         )
-        net = LocalKylix(
-            [2, 2], faults=plan, retry=RetryPolicy(base_timeout=0.3)
-        )
+        wire = {"local": LocalKylix, "tcp": TcpKylix}[backend]
+        net = wire([2, 2], faults=plan, retry=RetryPolicy(base_timeout=0.3))
         out = net.allreduce(spec, vals)
         for r in range(4):
             np.testing.assert_allclose(out[r], ref[r], atol=1e-9)

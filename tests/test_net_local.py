@@ -170,3 +170,65 @@ def test_agrees_with_simulator():
     sim = KylixAllreduce(Cluster(4), [2, 2]).allreduce(spec, vals)
     for r in spec.ranks:
         np.testing.assert_allclose(real[r], sim[r], atol=1e-12)
+
+
+def test_strict_error_names_the_canonical_phase():
+    """A wire hole raises naming the protocol phase (``combined_down``),
+    as the simulator and every wire ``LossRecord`` do, not the wire kind."""
+    from repro.faults import FaultPlan, LinkFault, PeerFailedError, RetryPolicy
+
+    rng = np.random.default_rng(14)
+    spec, vals = covered_case(4, 120, rng)
+    net = LocalKylix(
+        [2, 2],
+        faults=FaultPlan().with_rule(LinkFault(src=1, drop=1.0)),
+        retry=RetryPolicy(base_timeout=0.05, max_retries=1),
+        timeout=30.0,
+    )
+    with pytest.raises(PeerFailedError) as ei:
+        net.allreduce(spec, vals)
+    assert ei.value.phase == "combined_down"
+
+
+def test_audit_outlasts_a_slow_responder():
+    """The dead-partial audit waits through the failure detector's whole
+    ladder, re-sending its request: a live peer that starts answering
+    0.6 s late still returns the retained keys."""
+    import multiprocessing as mp
+    import threading
+    import time
+
+    from repro.allreduce.kylix import AUDIT
+    from repro.faults import RetryPolicy
+    from repro.net.local import LocalTransport
+    from repro.net.protocol import _drive
+
+    retry = RetryPolicy(base_timeout=0.15, max_retries=2)
+    a, b = mp.Pipe()
+    asker = LocalTransport(0, {1: a}, None, retry)
+    responder = LocalTransport(1, {0: b}, None, retry)
+    keys = np.array([3, 5, 8], dtype=np.uint64)
+    responder.audit_sent[(0, 2, 7)] = keys  # (seq, layer, hole)
+    stop = threading.Event()
+
+    def serve():
+        time.sleep(0.6)
+        while not stop.is_set():
+            responder.pump()
+            time.sleep(0.005)
+
+    def core():
+        return (yield (AUDIT, 1, "sent", 2, 7))
+
+    server = threading.Thread(target=serve)
+    server.start()
+    try:
+        got, losses = _drive(core(), 0, asker, 0, True, None, None)
+    finally:
+        stop.set()
+        server.join(timeout=5.0)
+        a.close()
+        b.close()
+    assert not server.is_alive()
+    np.testing.assert_array_equal(got, keys)
+    assert losses == []

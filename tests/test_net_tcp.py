@@ -100,6 +100,21 @@ class TestTcpFaults:
             np.testing.assert_allclose(got[r], ref[r], atol=1e-9)
         assert_no_children()
 
+    def test_strict_error_names_the_canonical_phase(self):
+        """A hole raises naming the protocol phase, not the wire kind."""
+        rng = np.random.default_rng(14)
+        spec, vals = covered_case(4, 150, rng)
+        net = TcpKylix(
+            [2, 2],
+            faults=FaultPlan().with_rule(LinkFault(src=1, drop=1.0)),
+            retry=RetryPolicy(base_timeout=0.05, max_retries=1),
+            timeout=30.0,
+        )
+        with pytest.raises(PeerFailedError) as ei:
+            net.allreduce(spec, vals)
+        assert ei.value.phase == "combined_down"
+        assert_no_children()
+
     def test_crash_degrades_with_coverage_report(self):
         """A node dying before its first send: the survivors finish, the
         report accounts every lost index, and the kept indices equal the
