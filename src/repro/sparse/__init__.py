@@ -1,9 +1,10 @@
 """Sparse index/value machinery: vectors, merges, and range partitioning.
 
 These are the data-plane kernels of the Sparse Allreduce: sorted-key sparse
-vectors (:class:`SparseVector`), union strategies with position maps
-(:func:`tree_merge`, :func:`union_with_maps`), bijective index hashing for
-balanced partitioning, and nested equal-range splits of the key space.
+vectors (:class:`SparseVector`), the union-with-position-maps kernel
+(:func:`union_with_maps`; :func:`tree_merge` and friends for the §VI-A
+ablation), bijective index hashing for balanced partitioning, and nested
+equal-range splits of the key space.
 """
 
 from .hashing import IdentityHasher, IndexHasher, MultiplicativeHasher

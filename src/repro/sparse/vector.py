@@ -6,10 +6,11 @@ trailing dimensions (e.g. HADI diameter estimation reduces *bit-string*
 values, SGD reduces gradient blocks), so "vector" is really "keyed rows".
 
 Everything here is NumPy-vectorized: construction from unsorted pairs is a
-sort + segmented reduction, addition is a merge + two scatter-adds, and
-restriction is a ``searchsorted`` probe.  These are the same operations the
-paper implements with tree merging in Java (§VI-A); the merge-strategy
-ablation lives in :mod:`repro.sparse.merge`.
+sort + segmented reduction, addition is the protocol's union kernel
+(:func:`~repro.sparse.merge.union_with_maps`) + two scatter-adds, and
+restriction is a ``searchsorted`` probe.  The paper implements these with
+tree merging in Java (§VI-A); the merge-strategy ablation lives in
+:mod:`repro.sparse.merge`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .merge import is_sorted_unique
+from .merge import is_sorted_unique, union_with_maps
 
 __all__ = ["SparseVector"]
 
@@ -128,11 +129,9 @@ class SparseVector:
         """
         if self.values.shape[1:] != other.values.shape[1:]:
             raise ValueError("value shapes differ")
-        union = np.union1d(self.keys, other.keys)
+        union, (pa, pb) = union_with_maps([self.keys, other.keys])
         dtype = np.result_type(self.values.dtype, other.values.dtype)
         out = np.full((union.size, *self.values.shape[1:]), identity, dtype=dtype)
-        pa = np.searchsorted(union, self.keys)
-        pb = np.searchsorted(union, other.keys)
         out[pa] = ufunc(out[pa], self.values)
         out[pb] = ufunc(out[pb], other.values)
         return SparseVector(union, out, validate=False)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.sparse import (
     hash_merge,
+    is_sorted_unique,
     merge_two,
     pairwise_merge,
     position_maps,
@@ -133,3 +134,68 @@ def test_prop_full_64bit_domain(keys):
     a = arr(keys)
     union = merge_two(a, a)
     np.testing.assert_array_equal(union, a)
+
+
+def reference_union_with_maps(sets):
+    """Reference for ``union_with_maps``: tree merge, then one
+    ``searchsorted`` per set."""
+    union = tree_merge(sets)
+    return union, position_maps(union, sets)
+
+
+def assert_matches_reference(sets):
+    union, maps = union_with_maps(sets)
+    ref_union, ref_maps = reference_union_with_maps(sets)
+    assert union.dtype == np.uint64
+    np.testing.assert_array_equal(union, ref_union)
+    assert len(maps) == len(ref_maps) == len(sets)
+    for m, ref in zip(maps, ref_maps):
+        assert m.dtype == np.intp
+        np.testing.assert_array_equal(m, ref)
+        # map-injective: each map is strictly increasing, so _descend can
+        # combine a part with plain fancy indexing instead of ufunc.at.
+        assert is_sorted_unique(m)
+
+
+# Keys on both sides of 2**63: a signed comparison would misorder them.
+wide_keys = st.one_of(
+    st.integers(0, 64),
+    st.integers(2**63 - 32, 2**63 + 32),
+    st.integers(2**64 - 64, 2**64 - 1),
+    st.integers(0, 2**64 - 1),
+)
+wide_key_sets = st.lists(st.lists(wide_keys, max_size=30).map(arr), max_size=8)
+
+
+@given(wide_key_sets)
+def test_prop_fused_kernel_matches_reference(sets):
+    assert_matches_reference(sets)
+
+
+@given(st.lists(wide_keys, max_size=30).map(arr), st.integers(1, 5))
+def test_prop_fused_kernel_identical_parts(keys, copies):
+    sets = [keys.copy() for _ in range(copies)]
+    assert_matches_reference(sets)
+    union, maps = union_with_maps(sets)
+    np.testing.assert_array_equal(union, keys)
+    for m in maps:
+        np.testing.assert_array_equal(m, np.arange(keys.size))
+
+
+class TestFusedKernelEdges:
+    def test_empty_list(self):
+        union, maps = union_with_maps([])
+        assert union.dtype == np.uint64 and union.size == 0
+        assert maps == []
+
+    def test_empty_parts(self):
+        assert_matches_reference([arr([]), arr([])])
+        assert_matches_reference([arr([]), arr([4, 2**63]), arr([])])
+
+    def test_single_part(self):
+        assert_matches_reference([arr([0, 2**63, 2**64 - 1])])
+
+    def test_unsigned_order_above_2_63(self):
+        union, maps = union_with_maps([arr([2**64 - 1, 1]), arr([2**63, 1])])
+        assert union.tolist() == [1, 2**63, 2**64 - 1]
+        assert [m.tolist() for m in maps] == [[0, 2], [0, 1]]

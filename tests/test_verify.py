@@ -60,6 +60,29 @@ class TestCleanPlans:
     def test_shipped_stacks_pass(self, m, degrees):
         assert verify_stack(m, degrees, n=256) == []
 
+    def test_fused_union_kernel_builds_identical_plans(self, monkeypatch):
+        """The fused union kernel changes how plans are built, not what
+        they are: a 64-node [4,4,4] build equals, field for field, the
+        build with the tree-merge + searchsorted reference composition."""
+        import repro.allreduce.kylix as kylix
+        from repro.sparse import position_maps, tree_merge
+
+        topo = ButterflyTopology([4, 4, 4], 64)
+        spec = synthetic_spec(64, n=20_000, seed=7)
+        fused = build_plans(topo, spec)
+
+        def reference(sets):
+            union = tree_merge(sets)
+            return union, position_maps(union, sets)
+
+        monkeypatch.setattr(kylix, "union_with_maps", reference)
+        ref = build_plans(topo, spec)
+        assert fused.keys() == ref.keys()
+        for rank in fused:
+            assert len(fused[rank].layers) == 3
+            assert fused[rank].bottom_pos is not None
+            assert_same_fields(fused[rank], ref[rank])
+
     def test_default_stacks_include_degenerates(self):
         stacks = default_stacks(16)
         assert [16] in stacks  # direct all-to-all
